@@ -1,6 +1,6 @@
 // Microbenchmarks (E9): the compute kernels behind training — GEMM,
-// convolution lowering, depthwise convolution, batch norm, bf16
-// conversion — at EfficientNet-pico-like shapes.
+// convolution lowering, depthwise convolution, batch norm, squeeze-excite,
+// bf16 conversion — at EfficientNet-pico-like shapes.
 //
 // Modes sharing one binary:
 //   (default)       google-benchmark, including cmp/<kernel>/<level> rows
@@ -38,6 +38,7 @@
 #include "nn/loss.h"
 #include "obs/json.h"
 #include "tensor/bf16.h"
+#include "tensor/channel_ops.h"
 #include "tensor/conv_direct.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
@@ -283,6 +284,33 @@ std::vector<CmpKernel> make_cmp_kernels() {
                   }});
   }
 
+  // Squeeze-excite squeeze (channel mean) and excite (channel scale) at B0
+  // per-image SE shapes that stay below the kernels' thread split and in
+  // L2: the stage-4 entry block's [14,14,240], the stage-6 entry block's
+  // [7,7,672] and the stage-6/7 blocks' [7,7,1152]. One flop per input
+  // element. The batch-4 shapes eval runs are memory-bound and threaded;
+  // there every tier ties and a loaded host decides the comparison.
+  auto add_se = [&](std::int64_t hw, std::int64_t c, const std::string& tag) {
+    Rng rng(18);
+    auto x = std::make_shared<Tensor>(Tensor::randn(Shape{1, hw, hw, c}, rng));
+    auto gate = std::make_shared<Tensor>(Tensor::randn(Shape{1, c}, rng));
+    auto y = std::make_shared<Tensor>(Shape{1, hw, hw, c});
+    const double elems = static_cast<double>(x->numel());
+    ks.push_back({"channel_mean_" + tag, elems, [=] {
+                    tensor::channel_mean(x->data(), 1, hw * hw, c,
+                                         gate->data());
+                    benchmark::DoNotOptimize(gate->data());
+                  }});
+    ks.push_back({"channel_scale_" + tag, elems, [=] {
+                    tensor::channel_scale(x->data(), gate->data(), 1, hw * hw,
+                                          c, y->data());
+                    benchmark::DoNotOptimize(y->data());
+                  }});
+  };
+  add_se(14, 240, "14x14x240");
+  add_se(7, 672, "7x7x672");
+  add_se(7, 1152, "7x7x1152");
+
   const std::size_t kVec = std::size_t{1} << 14;  // 64 KiB: L1/L2 resident
   Rng vrng(14);
   auto vx = std::make_shared<std::vector<float>>(kVec);
@@ -339,30 +367,6 @@ std::vector<CmpKernel> make_cmp_kernels() {
   return ks;
 }
 
-// Best-of-R wall time per invocation: each repeat times `iters` calls
-// (calibrated to ~10 ms) and the minimum repeat wins, which filters the
-// scheduler noise a loaded CI host injects.
-double best_seconds(const std::function<void()>& fn) {
-  using clock = std::chrono::steady_clock;
-  auto time_n = [&](long iters) {
-    const auto t0 = clock::now();
-    for (long i = 0; i < iters; ++i) fn();
-    return std::chrono::duration<double>(clock::now() - t0).count();
-  };
-  fn();  // warm caches and thread_local pack buffers
-  long iters = 1;
-  double t = time_n(iters);
-  while (t < 0.01 && iters < (1L << 22)) {
-    iters *= 4;
-    t = time_n(iters);
-  }
-  double best = t / static_cast<double>(iters);
-  for (int r = 1; r < 5; ++r) {
-    best = std::min(best, time_n(iters) / static_cast<double>(iters));
-  }
-  return best;
-}
-
 struct CmpResult {
   std::string name;
   double flops = 0;
@@ -376,27 +380,53 @@ struct CmpResult {
   double gflops(double s) const { return s > 0 ? flops / s * 1e-9 : 0; }
 };
 
-std::vector<CmpResult> run_comparisons() {
-  const bool have_avx512 = simd::detected_level() >= simd::Level::kAvx512;
-  std::vector<CmpResult> out;
-  for (const CmpKernel& k : make_cmp_kernels()) {
-    CmpResult r;
-    r.name = k.name;
-    r.flops = k.flops;
-    {
-      simd::ScopedLevel lvl(simd::Level::kScalar);
-      r.scalar_s = best_seconds(k.run);
-    }
-    {
-      simd::ScopedLevel lvl(simd::Level::kAvx2);
-      r.simd_s = best_seconds(k.run);
-    }
-    if (have_avx512) {
-      simd::ScopedLevel lvl(simd::Level::kAvx512);
-      r.avx512_s = best_seconds(k.run);
-    }
-    out.push_back(std::move(r));
+// Best-of-R wall time per invocation at every level. Each level times
+// `iters` calls per repeat (calibrated to ~10 ms per level) and its
+// minimum repeat wins, which filters the scheduler noise a loaded CI host
+// injects. The levels' repeats are interleaved, so a change in host load
+// hits every level alike instead of passing for a speedup or a loss.
+CmpResult measure(const CmpKernel& k) {
+  using clock = std::chrono::steady_clock;
+  std::vector<simd::Level> levels = {simd::Level::kScalar,
+                                     simd::Level::kAvx2};
+  if (simd::detected_level() >= simd::Level::kAvx512) {
+    levels.push_back(simd::Level::kAvx512);
   }
+  auto time_n = [&](simd::Level lvl, long iters) {
+    simd::ScopedLevel scoped(lvl);
+    const auto t0 = clock::now();
+    for (long i = 0; i < iters; ++i) k.run();
+    return std::chrono::duration<double>(clock::now() - t0).count();
+  };
+  std::vector<long> iters(levels.size(), 1);
+  std::vector<double> best(levels.size());
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    time_n(levels[l], 1);  // warm caches and thread_local pack buffers
+    double t = time_n(levels[l], iters[l]);
+    while (t < 0.01 && iters[l] < (1L << 22)) {
+      iters[l] *= 4;
+      t = time_n(levels[l], iters[l]);
+    }
+    best[l] = t / static_cast<double>(iters[l]);
+  }
+  for (int r = 1; r < 5; ++r) {
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+      best[l] = std::min(best[l], time_n(levels[l], iters[l]) /
+                                      static_cast<double>(iters[l]));
+    }
+  }
+  CmpResult res;
+  res.name = k.name;
+  res.flops = k.flops;
+  res.scalar_s = best[0];
+  res.simd_s = best[1];
+  if (levels.size() > 2) res.avx512_s = best[2];
+  return res;
+}
+
+std::vector<CmpResult> run_comparisons() {
+  std::vector<CmpResult> out;
+  for (const CmpKernel& k : make_cmp_kernels()) out.push_back(measure(k));
   return out;
 }
 
@@ -511,25 +541,8 @@ std::string json_string_field(const std::string& line,
 // declares a regression: a loaded host skews a single scalar-vs-SIMD
 // ratio far more than 15%, but only noise recovers on retry.
 CmpResult measure_one(const std::string& name) {
-  const bool have_avx512 = simd::detected_level() >= simd::Level::kAvx512;
   for (const CmpKernel& k : make_cmp_kernels()) {
-    if (k.name != name) continue;
-    CmpResult r;
-    r.name = k.name;
-    r.flops = k.flops;
-    {
-      simd::ScopedLevel lvl(simd::Level::kScalar);
-      r.scalar_s = best_seconds(k.run);
-    }
-    {
-      simd::ScopedLevel lvl(simd::Level::kAvx2);
-      r.simd_s = best_seconds(k.run);
-    }
-    if (have_avx512) {
-      simd::ScopedLevel lvl(simd::Level::kAvx512);
-      r.avx512_s = best_seconds(k.run);
-    }
-    return r;
+    if (k.name == name) return measure(k);
   }
   return {};
 }

@@ -155,7 +155,8 @@ void load_replica_state(optim::StateReader& r,
 // main thread keeps running backward. flush() picks up anything the model
 // never announced (ascending bucket order, so the fallback order is also
 // identical across ranks). Pack time is accumulated separately so the
-// trainer can bill it to kGradPack instead of kBackward.
+// trainer can bill it to kGradPack instead of kBackward, and the first
+// submit starts the step's all-reduce window.
 class BucketedGradSync final : public nn::GradReadySink {
  public:
   BucketedGradSync(FlatBuffer* buf, const std::vector<nn::Param*>* params,
@@ -191,6 +192,7 @@ class BucketedGradSync final : public nn::GradReadySink {
     submitted_.assign(partition_.size(), 0);
     packed_.assign(params_->size(), 0);
     pack_seconds_ = 0.0;
+    submitted_any_ = false;
   }
 
   void on_grads_ready(const std::vector<nn::Param*>& ready) override {
@@ -231,12 +233,21 @@ class BucketedGradSync final : public nn::GradReadySink {
   // Main-thread pack time accumulated since begin_step (notify + flush).
   double pack_seconds() const { return pack_seconds_; }
 
+  // Main-thread time since this step's first bucket submit (0 before it).
+  double seconds_since_first_submit() const {
+    return submitted_any_ ? first_submit_.seconds() : 0.0;
+  }
+
  private:
   void submit(std::size_t b) {
     const std::span<float> span = buf_->bucket_span(partition_[b]);
     // Per-bucket boundary check: a NaN minted by backward is attributed
     // before the bucket's collective smears it across ranks.
     PODNET_CHECK_FINITE(span, "post_backward gradients");
+    if (!submitted_any_) {
+      first_submit_.reset();
+      submitted_any_ = true;
+    }
     reducer_->submit(static_cast<std::int64_t>(b), span);
     submitted_[b] = 1;
   }
@@ -251,6 +262,8 @@ class BucketedGradSync final : public nn::GradReadySink {
   std::vector<char> submitted_;
   std::vector<char> packed_;
   double pack_seconds_ = 0.0;
+  obs::Timer first_submit_;
+  bool submitted_any_ = false;
 };
 
 }  // namespace
@@ -735,18 +748,21 @@ TrainResult train(const TrainConfig& config) {
         nn::Tensor logits = model.forward(batch.images, /*training=*/true);
         nn::LossResult loss = nn::softmax_cross_entropy(
             logits, batch.labels, config.label_smoothing);
-        // BN group reductions run nested inside forward; report them as
-        // their own phase and keep kForward pure compute.
+        // BN group reductions run nested inside forward and backward;
+        // report them as their own phase and keep kForward and kBackward
+        // pure compute.
         const double fwd_s = phase_timer.lap();
-        const double bn_s = bn_timer ? bn_timer->take_seconds() : 0.0;
-        sm.phase(obs::Phase::kBnSync) = bn_s;
-        sm.phase(obs::Phase::kForward) = std::max(0.0, fwd_s - bn_s);
+        const double bn_fwd_s = bn_timer ? bn_timer->take_seconds() : 0.0;
+        sm.phase(obs::Phase::kForward) = std::max(0.0, fwd_s - bn_fwd_s);
         model.backward(loss.grad_logits);
+        const double bwd_lap = phase_timer.lap();
+        const double bn_bwd_s = bn_timer ? bn_timer->take_seconds() : 0.0;
+        sm.phase(obs::Phase::kBnSync) = bn_fwd_s + bn_bwd_s;
         double pack_s = 0.0;
         double ar_s = 0.0;
         double exposed_s = 0.0;
         if (grad_sync == nullptr) {
-          sm.phase(obs::Phase::kBackward) = phase_timer.lap();
+          sm.phase(obs::Phase::kBackward) = std::max(0.0, bwd_lap - bn_bwd_s);
 
           // Gradient all-reduce -> global-mean gradients on every replica.
           // Pack/unpack get their own phase: billing them to the optimizer
@@ -768,20 +784,20 @@ TrainResult train(const TrainConfig& config) {
           // launched most buckets on the communication thread (per-bucket
           // finite checks ran at submit). The backward lap includes that
           // main-thread pack work; re-bill it to kGradPack.
-          const double bwd_lap = phase_timer.lap();
           const double pack_in_bwd = grad_sync->pack_seconds();
           sm.phase(obs::Phase::kBackward) =
-              std::max(0.0, bwd_lap - pack_in_bwd);
+              std::max(0.0, bwd_lap - bn_bwd_s - pack_in_bwd);
           grad_sync->flush();  // stragglers the model never announced
           pack_s = pack_in_bwd + phase_timer.lap();
           // Join point: every gradient must be globally reduced before
-          // unpack. The wait itself is the *exposed* all-reduce time; the
-          // drained total is the full communication time, mostly hidden
-          // behind backward.
-          const dist::DrainStats drained = reducer->wait_all();
+          // unpack. The wait itself is the *exposed* all-reduce time. The
+          // total is the main-thread window from the first bucket submit
+          // to here, mostly hidden behind backward; it contains the wait,
+          // so exposed <= total by construction.
+          reducer->wait_all();
           PODNET_CHECK_FINITE(bucket.span(), "post_allreduce gradients");
           exposed_s = phase_timer.lap();
-          ar_s = drained.comm_seconds;
+          ar_s = grad_sync->seconds_since_first_submit();
         }
 
         if (config.verify_collectives) {

@@ -40,10 +40,11 @@ namespace podnet::dist {
 
 // What one drain cycle (wait_all) observed: the wall time this rank's
 // communication thread spent inside bucket collectives and how many
-// buckets it reduced. `comm_seconds` is the *total* communication time;
-// the trainer separately times the wait_all() call itself, which is the
-// *exposed* (non-overlapped) remainder — the pair is exactly the
-// kAllReduce / kAllReduceExposed split in obs::StepMetrics.
+// buckets it reduced. `comm_seconds` leaves out queueing and the hand-off
+// to this thread, so it is not the step's all-reduce phase: the trainer
+// bills obs::Phase::kAllReduce as the main-thread window from the first
+// submit until wait_all() returns, and the wait itself as the exposed
+// part.
 struct DrainStats {
   double comm_seconds = 0.0;
   std::uint64_t buckets = 0;

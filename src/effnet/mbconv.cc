@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "ir/builder.h"
+#include "tensor/channel_ops.h"
 
 namespace podnet::effnet {
 
@@ -56,10 +57,8 @@ Tensor MBConvBlock::forward(const Tensor& x, bool training) {
   h = bn2_.forward(project_conv_.forward(h, training), training);
   if (has_residual_) {
     h = drop_path_.forward(h, training);
-    const float* xs = x.data();
-    float* hs = h.data();
     assert(h.shape() == x.shape());
-    for (Index i = 0; i < h.numel(); ++i) hs[i] += xs[i];
+    tensor::add(h.span(), x.span(), h.span());
   }
   return h;
 }

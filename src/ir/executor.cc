@@ -1,6 +1,5 @@
 #include "ir/executor.h"
 
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -9,6 +8,7 @@
 #include "check/tensor_guard.h"
 #include "ir/analysis.h"
 #include "ir/verify.h"
+#include "tensor/channel_ops.h"
 #include "tensor/im2col.h"
 #include "tensor/ops.h"
 
@@ -59,27 +59,6 @@ tensor::GemmEpilogue gemm_epilogue(const Op& op) {
 
 bool wants_gemm_epilogue(const Op& op) {
   return op.act != Act::kNone || (op.has_bias && op.bias != nullptr);
-}
-
-// Bias + activation tail applied with the same span kernels the layer
-// interpreter uses (nn::Conv2D::add_bias row loop; nn::Swish / nn::ReLU),
-// so un-fused and span-fused results are bitwise identical. `sig` must
-// hold rows*cols floats when the act is swish.
-void apply_span_tail(const Op& op, float* y, Index rows, Index cols,
-                     float* sig) {
-  if (op.has_bias && op.bias != nullptr) {
-    const auto b = op.bias->span();
-    for (Index r = 0; r < rows; ++r) {
-      tensor::add_inplace(b,
-                          {y + r * cols, static_cast<std::size_t>(cols)});
-    }
-  }
-  const std::size_t n = static_cast<std::size_t>(rows * cols);
-  if (op.act == Act::kSwish) {
-    tensor::swish({y, n}, {sig, n}, {y, n});
-  } else if (op.act == Act::kRelu) {
-    tensor::relu({y, n}, {y, n});
-  }
 }
 
 }  // namespace
@@ -176,9 +155,8 @@ Tensor Executor::run(const Tensor& input) {
     bind(input.shape());
   }
   // Every live arena cell is written before it is read (beta=0 GEMMs,
-  // full-overwrite kernels, zero-then-accumulate pools); poisoning makes a
-  // planner liveness bug surface as NaNs under PODNET_CHECK instead of
-  // silently reusing a stale block.
+  // full-overwrite kernels); poisoning makes a planner liveness bug surface
+  // as NaNs under PODNET_CHECK instead of silently reusing a stale block.
   check::poison(arena_.data(), arena_.size());
 
   const auto& ops = prog_->ops();
@@ -243,26 +221,16 @@ Tensor Executor::run(const Tensor& input) {
       case OpKind::kDepthwiseConv2D: {
         const ConvGeometry g = conv_geometry(op, in);
         tensor::conv::depthwise_forward(g, x, op.weight->data(), y);
-        apply_span_tail(op, y, g.col_rows(), op.in_c, scr);
+        tensor::bias_act(gemm_epilogue(op), y, g.col_rows(), op.in_c, scr);
         break;
       }
 
       case OpKind::kBatchNorm: {
-        // Replicates nn::BatchNorm::forward's inference affine exactly.
         const Index c = op.in_c;
-        float* scale = scr;
-        float* shift = scr + c;
-        for (Index j = 0; j < c; ++j) {
-          const float istd = 1.0f / std::sqrt(op.var->at(j) + op.eps);
-          scale[j] = op.gamma->at(j) * istd;
-          shift[j] = op.beta->at(j) - op.mean->at(j) * scale[j];
-        }
-        const Index rows = in.numel() / c;
-        for (Index r = 0; r < rows; ++r) {
-          const float* xr = x + r * c;
-          float* yr = y + r * c;
-          for (Index j = 0; j < c; ++j) yr[j] = xr[j] * scale[j] + shift[j];
-        }
+        tensor::bn_scale_shift(op.gamma->data(), op.beta->data(),
+                               op.mean->data(), op.var->data(), op.eps, c,
+                               scr, scr + c);
+        tensor::channel_affine(x, scr, scr + c, in.numel() / c, c, y);
         break;
       }
 
@@ -295,79 +263,29 @@ Tensor Executor::run(const Tensor& input) {
         float* gate = scr + n * c;           // [N, C]
         float* reduced = gate + n * c;       // [N, se_c]
         float* sig = reduced + n * sc;       // [N, se_c]
-
-        std::memset(squeezed, 0, static_cast<std::size_t>(n * c) *
-                                     sizeof(float));
-        const float inv = 1.0f / static_cast<float>(hw);
-        for (Index b = 0; b < n; ++b) {
-          float* row = squeezed + b * c;
-          const float* xb = x + b * hw * c;
-          for (Index p = 0; p < hw; ++p) {
-            const float* px = xb + p * c;
-            for (Index j = 0; j < c; ++j) row[j] += px[j];
-          }
-          for (Index j = 0; j < c; ++j) row[j] *= inv;
-        }
-
+        tensor::channel_mean(x, n, hw, c, squeezed);
         tensor::gemm_contiguous(false, false, n, sc, c, 1.f, squeezed,
                                 op.se_w1->data(), 0.f, reduced);
-        const auto b1 = op.se_b1->span();
-        for (Index r = 0; r < n; ++r) {
-          tensor::add_inplace(
-              b1, {reduced + r * sc, static_cast<std::size_t>(sc)});
-        }
-        const std::size_t nr = static_cast<std::size_t>(n * sc);
-        tensor::swish({reduced, nr}, {sig, nr}, {reduced, nr});
-
+        tensor::bias_act({tensor::GemmEpilogue::Act::kSwish, op.se_b1->data()},
+                         reduced, n, sc, sig);
         tensor::gemm_contiguous(false, false, n, c, sc, 1.f, reduced,
                                 op.se_w2->data(), 0.f, gate);
-        const auto b2 = op.se_b2->span();
-        for (Index r = 0; r < n; ++r) {
-          tensor::add_inplace(b2,
-                              {gate + r * c, static_cast<std::size_t>(c)});
-        }
+        tensor::bias_act({.bias = op.se_b2->data()}, gate, n, c);
         const std::size_t ng = static_cast<std::size_t>(n * c);
         tensor::sigmoid({gate, ng}, {gate, ng});
-
-        for (Index b = 0; b < n; ++b) {
-          const float* grow = gate + b * c;
-          const float* xb = x + b * hw * c;
-          float* yb = y + b * hw * c;
-          for (Index p = 0; p < hw; ++p) {
-            for (Index j = 0; j < c; ++j) {
-              yb[p * c + j] = xb[p * c + j] * grow[j];
-            }
-          }
-        }
+        tensor::channel_scale(x, gate, n, hw, c, y);
         break;
       }
 
       case OpKind::kAdd: {
         const std::size_t n = static_cast<std::size_t>(out.numel());
-        const float* rhs = arg_ptr(op.args[1]);
-        std::memcpy(y, x, n * sizeof(float));
-        tensor::add_inplace({rhs, n}, {y, n});
+        tensor::add({x, n}, {arg_ptr(op.args[1]), n}, {y, n});
         break;
       }
 
-      case OpKind::kGlobalAvgPool: {
-        const Index n = in[0];
-        const Index hw = in[1] * in[2];
-        const Index c = in[3];
-        std::memset(y, 0,
-                    static_cast<std::size_t>(n * c) * sizeof(float));
-        const float inv = 1.0f / static_cast<float>(hw);
-        for (Index b = 0; b < n; ++b) {
-          float* row = y + b * c;
-          const float* xb = x + b * hw * c;
-          for (Index p = 0; p < hw; ++p) {
-            const float* px = xb + p * c;
-            for (Index j = 0; j < c; ++j) row[j] += px[j];
-          }
-          for (Index j = 0; j < c; ++j) row[j] *= inv;
-        }
+      case OpKind::kGlobalAvgPool:
+        tensor::channel_mean(x, in[0], in[1] * in[2], in[3], y);
         break;
-      }
 
       case OpKind::kDense:
       case OpKind::kGemm: {
@@ -376,7 +294,7 @@ Tensor Executor::run(const Tensor& input) {
         const Index rows = in[0];
         tensor::gemm_contiguous(false, false, rows, op.out_c, op.in_c, 1.f, x,
                                 op.weight->data(), 0.f, y);
-        apply_span_tail(op, y, rows, op.out_c, scr);
+        tensor::bias_act(gemm_epilogue(op), y, rows, op.out_c, scr);
         break;
       }
 

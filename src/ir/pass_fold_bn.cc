@@ -4,17 +4,17 @@
 // has no other reader collapses into the conv itself: the per-channel
 // affine y = x*scale + shift distributes over the convolution's linear
 // output channels, so scale bakes into the packed weights and shift into
-// a (possibly new) bias. The float arithmetic reproduces
-// nn::BatchNorm::forward's inference path exactly — scale = gamma *
-// (1/sqrt(var + eps)) computed in float — so the only numeric difference
-// versus the interpreter is the reassociated weight product, bounded by
-// the parity tests' ULP tolerance.
-#include <cmath>
+// a (possibly new) bias. scale and shift come from the same
+// tensor::bn_scale_shift nn::BatchNorm::forward uses at inference — scale =
+// gamma * (1/sqrt(var + eps)) computed in float — so the only numeric
+// difference versus the interpreter is the reassociated weight product,
+// bounded by the parity tests' ULP tolerance.
 #include <vector>
 
 #include "ir/analysis.h"
 #include "ir/passes.h"
 #include "ir/verify.h"
+#include "tensor/channel_ops.h"
 
 namespace podnet::ir {
 namespace {
@@ -22,14 +22,11 @@ namespace {
 // scale/shift exactly as BatchNorm::forward computes them at inference.
 void bn_affine(const Op& bn, std::vector<float>& scale,
                std::vector<float>& shift) {
-  const Index C = bn.in_c;
-  scale.resize(static_cast<std::size_t>(C));
-  shift.resize(static_cast<std::size_t>(C));
-  for (Index c = 0; c < C; ++c) {
-    const float istd = 1.0f / std::sqrt(bn.var->at(c) + bn.eps);
-    scale[c] = bn.gamma->at(c) * istd;
-    shift[c] = bn.beta->at(c) - bn.mean->at(c) * scale[c];
-  }
+  scale.resize(static_cast<std::size_t>(bn.in_c));
+  shift.resize(static_cast<std::size_t>(bn.in_c));
+  tensor::bn_scale_shift(bn.gamma->data(), bn.beta->data(), bn.mean->data(),
+                         bn.var->data(), bn.eps, bn.in_c, scale.data(),
+                         shift.data());
 }
 
 }  // namespace

@@ -2,9 +2,11 @@
 
 #include <cassert>
 
-#include "ir/builder.h"
 #include <cmath>
 #include <vector>
+
+#include "ir/builder.h"
+#include "tensor/channel_ops.h"
 
 namespace podnet::nn {
 
@@ -28,20 +30,13 @@ Tensor BatchNorm::forward(const Tensor& x, bool training) {
   const float* xd = x.data();
 
   if (!training) {
-    Tensor y(x.shape());
-    float* yd = y.data();
-    std::vector<float> scale(static_cast<std::size_t>(C));
-    std::vector<float> shift(static_cast<std::size_t>(C));
-    for (Index c = 0; c < C; ++c) {
-      const float istd = 1.0f / std::sqrt(running_var_.at(c) + eps_);
-      scale[c] = gamma_.value.at(c) * istd;
-      shift[c] = beta_.value.at(c) - running_mean_.at(c) * scale[c];
-    }
-    for (Index r = 0; r < rows; ++r) {
-      for (Index c = 0; c < C; ++c) {
-        yd[r * C + c] = xd[r * C + c] * scale[c] + shift[c];
-      }
-    }
+    Tensor y = Tensor::uninitialized(x.shape());
+    std::vector<float> scale_shift(static_cast<std::size_t>(2 * C));
+    float* scale = scale_shift.data();
+    tensor::bn_scale_shift(gamma_.value.data(), beta_.value.data(),
+                           running_mean_.data(), running_var_.data(), eps_, C,
+                           scale, scale + C);
+    tensor::channel_affine(xd, scale, scale + C, rows, C, y.data());
     return y;
   }
 

@@ -6,8 +6,8 @@
 #include "ir/builder.h"
 #include "nn/init.h"
 #include "obs/profile.h"
+#include "tensor/channel_ops.h"
 #include "tensor/conv_direct.h"
-#include "tensor/ops.h"
 
 namespace podnet::nn {
 
@@ -31,12 +31,8 @@ Conv2D::Conv2D(Index in_c, Index out_c, Index kernel, Index stride,
 
 void Conv2D::add_bias(Tensor& y) const {
   if (!use_bias_) return;
-  float* yd = y.data();
-  const auto b = bias_->value.span();
-  const Index rows = y.numel() / out_c_;
-  for (Index r = 0; r < rows; ++r) {
-    tensor::add_inplace(b, {yd + r * out_c_, static_cast<std::size_t>(out_c_)});
-  }
+  tensor::bias_act({.bias = bias_->value.data()}, y.data(),
+                   y.numel() / out_c_, out_c_);
 }
 
 Tensor Conv2D::forward(const Tensor& x, bool training) {

@@ -4,6 +4,7 @@
 
 #include "ir/builder.h"
 #include "nn/init.h"
+#include "tensor/channel_ops.h"
 
 namespace podnet::nn {
 
@@ -27,11 +28,7 @@ Tensor Dense::forward(const Tensor& x, bool training) {
   tensor::gemm_contiguous(false, false, n, out_, in_, 1.f, x.data(),
                           weight_.value.data(), 0.f, y.data());
   if (use_bias_) {
-    float* yd = y.data();
-    const float* b = bias_->value.data();
-    for (Index r = 0; r < n; ++r) {
-      for (Index c = 0; c < out_; ++c) yd[r * out_ + c] += b[c];
-    }
+    tensor::bias_act({.bias = bias_->value.data()}, y.data(), n, out_);
   }
   if (training) x_ = x;
   return y;

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "ir/builder.h"
+#include "tensor/channel_ops.h"
 
 namespace podnet::nn {
 
@@ -11,18 +12,8 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool training) {
   const Index N = x.shape()[0], H = x.shape()[1], W = x.shape()[2],
               C = x.shape()[3];
   if (training) in_shape_ = x.shape();
-  Tensor y(Shape{N, C});
-  const float inv = 1.0f / static_cast<float>(H * W);
-  const float* xd = x.data();
-  float* yd = y.data();
-  for (Index n = 0; n < N; ++n) {
-    float* row = yd + n * C;
-    for (Index p = 0; p < H * W; ++p) {
-      const float* px = xd + (n * H * W + p) * C;
-      for (Index c = 0; c < C; ++c) row[c] += px[c];
-    }
-    for (Index c = 0; c < C; ++c) row[c] *= inv;
-  }
+  Tensor y = Tensor::uninitialized(Shape{N, C});
+  tensor::channel_mean(x.data(), N, H * W, C, y.data());
   return y;
 }
 

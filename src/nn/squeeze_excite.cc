@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "ir/builder.h"
+#include "tensor/channel_ops.h"
 
 namespace podnet::nn {
 
@@ -26,17 +27,8 @@ Tensor SqueezeExcite::forward(const Tensor& x, bool training) {
                       training),
       training);
 
-  Tensor y(x.shape());
-  const float* xd = x.data();
-  const float* gd = gate.data();
-  float* yd = y.data();
-  for (Index n = 0; n < N; ++n) {
-    const float* grow = gd + n * C;
-    for (Index p = 0; p < H * W; ++p) {
-      const Index off = (n * H * W + p) * C;
-      for (Index c = 0; c < C; ++c) yd[off + c] = xd[off + c] * grow[c];
-    }
-  }
+  Tensor y = Tensor::uninitialized(x.shape());
+  tensor::channel_scale(x.data(), gate.data(), N, H * W, C, y.data());
   if (training) {
     x_ = x;
     gate_ = std::move(gate);

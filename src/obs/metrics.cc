@@ -1,8 +1,37 @@
 #include "obs/metrics.h"
 
+#include <stdexcept>
+
+#include "check/check.h"
 #include "obs/json.h"
 
 namespace podnet::obs {
+namespace {
+
+// Phase accounting invariants, asserted in PODNET_CHECK builds: the exposed
+// all-reduce is part of the total, and the sequential phases tile at most
+// the step. kEpsS absorbs the rounding of the summed lap durations.
+void check_phase_invariants(const StepMetrics& m) {
+  constexpr double kEpsS = 1e-9;
+  const double exposed = m.phase(Phase::kAllReduceExposed);
+  const double total = m.phase(Phase::kAllReduce);
+  double sequential = 0;
+  for (const Phase p : {Phase::kDataLoad, Phase::kForward, Phase::kBnSync,
+                        Phase::kBackward, Phase::kGradPack,
+                        Phase::kAllReduceExposed, Phase::kOptimizer}) {
+    sequential += m.phase(p);
+  }
+  if (exposed > total + kEpsS || sequential > m.step_s + kEpsS) {
+    throw std::logic_error(
+        "phase accounting: step " + std::to_string(m.step) + " rank " +
+        std::to_string(m.rank) + " has exposed all-reduce " +
+        std::to_string(exposed) + " s of total " + std::to_string(total) +
+        " s, sequential phases " + std::to_string(sequential) +
+        " s of step " + std::to_string(m.step_s) + " s");
+  }
+}
+
+}  // namespace
 
 const char* phase_name(Phase p) {
   switch (p) {
@@ -71,6 +100,7 @@ std::string to_json(const StepMetrics& m) {
 }
 
 void PhaseTotals::add(const StepMetrics& m) {
+  if constexpr (check::kEnabled) check_phase_invariants(m);
   for (int p = 0; p < kPhaseCount; ++p) seconds[p] += m.phase_s[p];
   step_seconds += m.step_s;
   ++steps;

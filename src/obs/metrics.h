@@ -22,15 +22,17 @@ namespace podnet::obs {
 
 // Phases of one distributed training step. kEval covers the sharded
 // evaluation pass (and is zero on the steps where no eval runs); kBnSync is
-// the time inside batch-norm group reductions, which executes *nested
-// within* the forward pass and is therefore reported separately from (and
-// excluded from) kForward.
+// the time inside batch-norm group reductions, which execute *nested
+// within* the forward and backward passes and are therefore reported
+// separately from (and excluded from) kForward and kBackward.
 enum class Phase {
   kDataLoad = 0,
   kForward,
   kBackward,
-  kAllReduce,  // gradient all-reduce collective only (Table 1's column):
-               // total wall time inside the collectives, wherever they ran
+  kAllReduce,  // gradient all-reduce (Table 1's column): the collective
+               // call on the serial path; on the overlapped path the
+               // main-thread window from the first bucket submit until
+               // the join returns, which contains kAllReduceExposed
   kGradPack,   // flat-buffer pack before / unpack after the all-reduce
   kOptimizer,  // grad clip, LR, optimizer step, EMA
   kBnSync,
@@ -88,6 +90,9 @@ struct PhaseTotals {
   std::int64_t images = 0;
   std::int64_t allreduce_bytes = 0;
 
+  // PODNET_CHECK builds throw std::logic_error when m breaks the phase
+  // invariants: exposed all-reduce above the total, or the sequential
+  // phases (all but kAllReduce and kEval) summing past step_s.
   void add(const StepMetrics& m);
   double phase(Phase p) const { return seconds[static_cast<int>(p)]; }
   // Share of summed step time spent in the gradient all-reduce — the

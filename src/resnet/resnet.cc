@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "ir/builder.h"
+#include "tensor/channel_ops.h"
 
 namespace podnet::resnet {
 
@@ -56,9 +57,7 @@ Tensor BasicBlock::forward(const Tensor& x, bool training) {
                                      training)
                  : x;
   assert(main.shape() == skip.shape());
-  float* m = main.data();
-  const float* s = skip.data();
-  for (Index i = 0; i < main.numel(); ++i) m[i] += s[i];
+  tensor::add(main.span(), skip.span(), main.span());
   return relu_out_.forward(main, training);
 }
 

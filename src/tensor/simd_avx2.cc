@@ -20,6 +20,7 @@
 #include <limits>
 #include <vector>
 
+#include "tensor/channel_kernels.h"
 #include "tensor/conv_direct.h"
 
 namespace podnet::tensor::simd::avx2 {
@@ -864,5 +865,9 @@ void conv2d_direct_rows(const ConvGeometry& g, std::int64_t out_c,
 }
 
 }  // namespace podnet::tensor::conv::avx2
+
+// Per-channel kernels (channel_ops.h): the shared bodies, built with this
+// TU's flags.
+PODNET_CHANNEL_KERNELS(template, ::podnet::tensor::simd::Level::kAvx2)
 
 #endif  // PODNET_HAVE_AVX2

@@ -12,6 +12,7 @@
 // bf16 rounding deliberately has no AVX-512 variant: simd_avx2.cc's kernel
 // is the single vector implementation all levels share, keeping the round
 // bit-exact everywhere.
+#include "tensor/channel_kernels.h"
 #include "tensor/conv_direct.h"
 #include "tensor/simd.h"
 
@@ -823,5 +824,9 @@ void conv2d_direct_rows(const ConvGeometry& g, std::int64_t out_c,
 }
 
 }  // namespace podnet::tensor::conv::avx512
+
+// Per-channel kernels (channel_ops.h): the shared bodies, built with this
+// TU's flags.
+PODNET_CHANNEL_KERNELS(template, ::podnet::tensor::simd::Level::kAvx512)
 
 #endif  // PODNET_HAVE_AVX512

@@ -158,6 +158,7 @@ TEST(TrainerTest, OverlapRunIsDeterministicAndConsistent) {
   EXPECT_EQ(a.peak_accuracy, b.peak_accuracy);
   EXPECT_GE(a.exposed_allreduce_fraction, 0.0);
   EXPECT_LT(a.exposed_allreduce_fraction, 1.0);
+  EXPECT_LE(a.exposed_allreduce_fraction, a.allreduce_fraction);
 }
 
 TEST(TrainerTest, OverlapTrainsEquivalentlyToSerial) {
