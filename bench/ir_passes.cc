@@ -8,10 +8,6 @@
 //
 // Modes sharing one binary:
 //   (default)       prints the comparison table for --model (b0);
-//   --json PATH     *appends* one JSONL "ir_bench" row per configuration
-//                   to PATH (bench/run_benchmarks.sh chains this after
-//                   micro_kernels so BENCH_kernels.json carries both) and
-//                   re-validates the file through obs::validate_jsonl_file;
 //   --smoke         correctness gate for the `ir` ctest label: runs the
 //                   pico spec and fails unless every configuration's
 //                   logits track the interpreter and the planned arena
@@ -24,7 +20,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -34,7 +29,6 @@
 #include "ir/passes.h"
 #include "ir/verify.h"
 #include "nn/lower.h"
-#include "obs/json.h"
 #include "tensor/tensor.h"
 
 namespace {
@@ -173,39 +167,6 @@ void print_rows(const std::vector<Row>& rows) {
               static_cast<long long>(rows.front().interp_scratch_bytes));
 }
 
-int append_json(const std::vector<Row>& rows, const std::string& path) {
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  for (const Row& r : rows) {
-    obs::JsonWriter w;
-    w.field("kind", "ir_bench")
-        .field("name", r.name)
-        .field("ms_per_img", r.ms_per_img)
-        .field("img_per_ms", r.ms_per_img > 0 ? 1.0 / r.ms_per_img : 0.0)
-        .field("speedup_vs_interp", r.speedup_vs_interp)
-        .field("arena_bytes", r.arena_bytes)
-        .field("no_reuse_bytes", r.no_reuse_bytes)
-        .field("interp_scratch_bytes", r.interp_scratch_bytes)
-        .field("max_rel_err", r.max_rel_err)
-        .field("lower_pass_us", r.lower_pass_us)
-        .field("analysis_us", r.analysis_us);
-    out << w.str() << '\n';
-  }
-  out.close();
-  std::size_t lines = 0;
-  std::string error;
-  if (!obs::validate_jsonl_file(path, &lines, &error)) {
-    std::fprintf(stderr, "JSONL validation failed: %s\n", error.c_str());
-    return 1;
-  }
-  std::printf("appended %zu ir_bench rows to %s (validated, %zu lines)\n",
-              rows.size(), path.c_str(), lines);
-  return 0;
-}
-
 // --smoke: pico-sized correctness gate — parity with the interpreter and
 // a real arena-reuse win, independent of host speed.
 int run_smoke() {
@@ -238,7 +199,6 @@ int run_smoke() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
   std::string model_name = "b0";
   tensor::Index batch = 2;
   int iters = 3;
@@ -247,8 +207,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       smoke = true;
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
     } else if (arg == "--model" && i + 1 < argc) {
       model_name = argv[++i];
     } else if (arg == "--batch" && i + 1 < argc) {
@@ -257,8 +215,8 @@ int main(int argc, char** argv) {
       iters = std::atoi(argv[++i]);
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--json PATH] [--model NAME] "
-                   "[--batch N] [--iters N]\n",
+                   "usage: %s [--smoke] [--model NAME] [--batch N] "
+                   "[--iters N]\n",
                    argv[0]);
       return 2;
     }
@@ -267,6 +225,5 @@ int main(int argc, char** argv) {
 
   const std::vector<Row> rows = run_model(model_name, batch, iters);
   print_rows(rows);
-  if (!json_path.empty()) return append_json(rows, json_path);
   return 0;
 }

@@ -316,8 +316,10 @@ std::vector<CmpKernel> make_cmp_kernels() {
   auto vx = std::make_shared<std::vector<float>>(kVec);
   auto vy = std::make_shared<std::vector<float>>(kVec);
   auto vz = std::make_shared<std::vector<float>>(kVec);
+  auto vs = std::make_shared<std::vector<float>>(kVec);  // sigmoid outputs
   for (auto& v : *vx) v = vrng.normal();
   for (auto& v : *vy) v = vrng.normal();
+  for (auto& v : *vs) v = vrng.uniform(0.f, 1.f);
 
   ks.push_back({"axpy_16k", 2.0 * kVec, [=] {
                   tensor::axpy(1.0009f, {vx->data(), kVec},
@@ -335,6 +337,32 @@ std::vector<CmpKernel> make_cmp_kernels() {
   ks.push_back({"dot_16k", 2.0 * kVec, [=] {
                   benchmark::DoNotOptimize(
                       tensor::dot({vx->data(), kVec}, {vy->data(), kVec}));
+                }});
+  // One row per remaining family of the shared vector kernels
+  // (vector_kernels.h): the gate fails if the compiler stops vectorizing a
+  // shared body or keeps a reduction's accumulators on the stack.
+  ks.push_back({"sum_16k", 1.0 * kVec, [=] {
+                  benchmark::DoNotOptimize(tensor::sum({vx->data(), kVec}));
+                }});
+  ks.push_back({"max_value_16k", 1.0 * kVec, [=] {
+                  benchmark::DoNotOptimize(
+                      tensor::max_value({vx->data(), kVec}));
+                }});
+  ks.push_back({"all_finite_16k", 1.0 * kVec, [=] {
+                  benchmark::DoNotOptimize(
+                      tensor::all_finite({vx->data(), kVec}));
+                }});
+  ks.push_back({"relu_backward_16k", 1.0 * kVec, [=] {
+                  tensor::relu_backward({vy->data(), kVec}, {vx->data(), kVec},
+                                        {vz->data(), kVec});
+                  benchmark::DoNotOptimize(vz->data());
+                }});
+  ks.push_back({"swish_backward_16k", 5.0 * kVec, [=] {
+                  tensor::swish_backward({vy->data(), kVec},
+                                         {vx->data(), kVec},
+                                         {vs->data(), kVec},
+                                         {vz->data(), kVec});
+                  benchmark::DoNotOptimize(vz->data());
                 }});
   ks.push_back({"swish_16k", 8.0 * kVec, [=] {
                   tensor::swish({vx->data(), kVec}, {vz->data(), kVec},

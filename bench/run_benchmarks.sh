@@ -1,10 +1,8 @@
 #!/usr/bin/env sh
 # Runs the kernel microbenchmark comparison and records the scalar-vs-SIMD
 # trajectory in BENCH_kernels.json (JSONL, one "kernel_bench" row per
-# kernel; the binary self-validates the file through the JSONL validator),
-# then appends the graph-IR pass rows ("ir_bench": interpreter vs compiled
-# executor img/ms and planned arena bytes on a b0 eval) from the same
-# ir_passes binary CI smokes via `ctest -L ir`.
+# kernel; the binary self-validates the file through the JSONL validator).
+# End-to-end numbers, B0 eval included, come from perfbench/run.py.
 #
 # Usage:
 #   bench/run_benchmarks.sh [build_dir] [output_file]     # record
@@ -40,14 +38,5 @@ if [ "$CHECK" = 1 ]; then
   "$BIN" --diff "$OUT"
 else
   "$BIN" --json "$OUT"
-  IR_BIN="$BUILD_DIR/bench/ir_passes"
-  if [ -x "$IR_BIN" ]; then
-    # Appends (never truncates) and re-validates the whole file; the
-    # micro_kernels --diff gate only reads kind=="kernel_bench" rows, so
-    # the extra rows don't disturb --check runs.
-    "$IR_BIN" --json "$OUT"
-  else
-    echo "warning: $IR_BIN not built — skipping ir_bench rows" >&2
-  fi
   echo "benchmark trajectory written to $OUT"
 fi

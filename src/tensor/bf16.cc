@@ -1,20 +1,13 @@
 #include "tensor/bf16.h"
 
-#include "tensor/simd.h"
+#include "tensor/vector_kernels.h"
 
 namespace podnet::tensor {
 
 void bf16_round_inplace(std::span<float> xs) {
-#if defined(PODNET_HAVE_AVX2)
-  // The AVX2 kernel is the one vector implementation of the round — it is
-  // bit-exact vs the scalar roundtrip, and the AVX-512 level reuses it so
-  // the rounding stays bit-identical at every dispatch level.
-  if (simd::active_level() >= simd::Level::kAvx2) {
-    simd::avx2::bf16_round_inplace(xs.data(), xs.size());
-    return;
-  }
-#endif
-  for (float& x : xs) x = bf16_round(x);
+  kernels::on_level(
+      [&](auto lvl) { kernels::bf16_round<lvl()>(xs.data(), std::ssize(xs)); },
+      [&] { for (float& x : xs) x = bf16_round(x); });
 }
 
 }  // namespace podnet::tensor

@@ -44,10 +44,11 @@ struct bf16 {
 // value a TPU matrix unit would actually multiply.
 inline float bf16_round(float f) { return bf16(f).to_float(); }
 
-// In-place simulation of storing a buffer in bf16. Dispatches to a
-// bit-exact AVX2 kernel when available (bf16.cc); the rounded bits are
-// identical on every path, so mixed-precision runs stay deterministic
-// across hosts with different SIMD levels.
+// In-place simulation of storing a buffer in bf16. Dispatches to the
+// bit-exact vector kernel of the active SIMD tier when there is one
+// (bf16.cc); the rounded bits are identical on every path, so
+// mixed-precision runs stay deterministic across hosts with different SIMD
+// levels.
 void bf16_round_inplace(std::span<float> xs);
 
 }  // namespace podnet::tensor

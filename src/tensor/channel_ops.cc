@@ -1,5 +1,5 @@
 // Dispatch and thread split for the per-channel kernel family
-// (channel_ops.h). The loop bodies live in channel_kernels.h; this TU also
+// (channel_ops.h). The loop bodies live in vector_kernels.h; this TU also
 // instantiates them at the baseline ISA as the scalar tier.
 #include "tensor/channel_ops.h"
 
@@ -8,16 +8,16 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
-#include <type_traits>
 
-#include "tensor/channel_kernels.h"
 #include "tensor/ops.h"
 #include "tensor/thread_pool.h"
+#include "tensor/vector_kernels.h"
 
 namespace podnet::tensor {
 namespace {
 
-using channel::kBlock;
+using kernels::kBlock;
+using kernels::on_level;
 
 // An op forks onto the kernel pool once it streams this many floats. One
 // parallel_for costs about 20 us of fork/join on a 4-vCPU AVX-512 host. On
@@ -60,33 +60,13 @@ void split(Index units, Index floats, const Fn& fn) {
   });
 }
 
-template <simd::Level L>
-using LevelTag = std::integral_constant<simd::Level, L>;
-
-// Calls fn(LevelTag<L>{}) for the active dispatch level, read once per op
-// so every chunk of a split op runs the same tier.
-template <typename Fn>
-void on_level(const Fn& fn) {
-  const simd::Level level = simd::active_level();
-  (void)level;
-#if defined(PODNET_HAVE_AVX512)
-  if (level == simd::Level::kAvx512) {
-    return fn(LevelTag<simd::Level::kAvx512>{});
-  }
-#endif
-#if defined(PODNET_HAVE_AVX2)
-  if (level >= simd::Level::kAvx2) return fn(LevelTag<simd::Level::kAvx2>{});
-#endif
-  fn(LevelTag<simd::Level::kScalar>{});
-}
-
 }  // namespace
 
 void channel_mean(const float* x, Index n, Index hw, Index c, float* out) {
   const Index blocks = (c + kBlock - 1) / kBlock;
   on_level([&](auto lvl) {
     split(n * blocks, n * hw * c, [&](Index i0, Index i1) {
-      channel::mean<decltype(lvl)::value>(x, hw, c, i0, i1, out);
+      kernels::channel_mean<decltype(lvl)::value>(x, hw, c, i0, i1, out);
     });
   });
 }
@@ -95,7 +75,8 @@ void channel_scale(const float* x, const float* scale, Index n, Index hw,
                    Index c, float* y) {
   on_level([&](auto lvl) {
     split(n * hw, n * hw * c, [&](Index r0, Index r1) {
-      channel::scale<decltype(lvl)::value>(x, scale, hw, c, r0, r1, y);
+      kernels::channel_scale<decltype(lvl)::value>(x, scale, hw, c, r0, r1,
+                                                   y);
     });
   });
 }
@@ -114,7 +95,8 @@ void channel_affine(const float* x, const float* scale, const float* shift,
                     Index rows, Index c, float* y) {
   on_level([&](auto lvl) {
     split(rows, rows * c, [&](Index r0, Index r1) {
-      channel::affine<decltype(lvl)::value>(x, scale, shift, c, r0, r1, y);
+      kernels::channel_affine<decltype(lvl)::value>(x, scale, shift, c, r0,
+                                                    r1, y);
     });
   });
 }
@@ -134,7 +116,7 @@ void bias_act(const GemmEpilogue& tail, float* y, Index rows, Index cols,
            r0 += group) {
         const Index r1 = std::min(rows, r0 + group);
         if (tail.bias != nullptr) {
-          channel::bias<decltype(lvl)::value>(tail.bias, cols, r0, r1, y);
+          kernels::bias<decltype(lvl)::value>(tail.bias, cols, r0, r1, y);
         }
         const std::size_t n = static_cast<std::size_t>((r1 - r0) * cols);
         float* yg = y + r0 * cols;
@@ -154,7 +136,7 @@ void add(std::span<const float> a, std::span<const float> b,
   const Index n = static_cast<Index>(y.size());
   on_level([&](auto lvl) {
     split((n + kBlock - 1) / kBlock, n, [&](Index u0, Index u1) {
-      channel::add<decltype(lvl)::value>(a.data(), b.data(), u0 * kBlock,
+      kernels::add<decltype(lvl)::value>(a.data(), b.data(), u0 * kBlock,
                                          std::min(n, u1 * kBlock), y.data());
     });
   });

@@ -94,7 +94,7 @@ void scalar_conv2d_direct_rows(const ConvGeometry& g, std::int64_t out_c,
           if (epilogue == Epilogue::kBiasSwish) {
             acc = acc / (1.0f + std::exp(-acc));
           } else if (epilogue == Epilogue::kBiasRelu) {
-            acc = acc > 0.f ? acc : 0.f;
+            acc = acc <= 0.f ? 0.f : acc;  // NaN stays, -0 -> +0
           }
         }
         out[co] = acc;

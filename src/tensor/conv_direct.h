@@ -35,7 +35,7 @@ enum class Epilogue {
   kNone = 0,
   kBias = 1,       // y += bias[c]
   kBiasSwish = 2,  // y = swish(y + bias[c]); bias may be null for plain swish
-  kBiasRelu = 3,   // y = max(y + bias[c], 0); bias may be null likewise
+  kBiasRelu = 3,   // y = relu(y + bias[c]) as tensor::relu; bias may be null
 };
 
 // Path-selection override for nn::Conv2D (kAuto consults prefer_direct).

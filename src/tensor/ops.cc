@@ -7,253 +7,269 @@
 #include <limits>
 
 #include "tensor/simd.h"
+#include "tensor/vector_kernels.h"
 
-// Each function checks the active dispatch level once and jumps to the
-// widest kernel that level allows (simd_avx512.cc / simd_avx2.cc) or runs
-// the scalar reference loop below. The macros keep the boilerplate out of
-// the way; each tier's macro expands to nothing when its translation unit
-// is not in this binary, and the AVX2 check uses >= so an AVX-512-capable
-// binary still falls through correctly when only the AVX2 branch applies.
-#if defined(PODNET_HAVE_AVX512)
-#define PODNET_DISPATCH_AVX512(call)                                 \
-  do {                                                               \
-    if (simd::active_level() == simd::Level::kAvx512) {              \
-      simd::avx512::call;                                            \
-      return;                                                        \
-    }                                                                \
-  } while (0)
-#define PODNET_DISPATCH_AVX512_RET(call)                             \
-  do {                                                               \
-    if (simd::active_level() == simd::Level::kAvx512) {              \
-      return simd::avx512::call;                                     \
-    }                                                                \
-  } while (0)
-#else
-#define PODNET_DISPATCH_AVX512(call) \
-  do {                               \
-  } while (0)
-#define PODNET_DISPATCH_AVX512_RET(call) \
-  do {                                   \
-  } while (0)
-#endif
-
-#if defined(PODNET_HAVE_AVX2)
-#define PODNET_DISPATCH_AVX2(call)                                   \
-  do {                                                               \
-    if (simd::active_level() >= simd::Level::kAvx2) {                \
-      simd::avx2::call;                                              \
-      return;                                                        \
-    }                                                                \
-  } while (0)
-#define PODNET_DISPATCH_AVX2_RET(call)                               \
-  do {                                                               \
-    if (simd::active_level() >= simd::Level::kAvx2) {                \
-      return simd::avx2::call;                                       \
-    }                                                                \
-  } while (0)
-#else
-#define PODNET_DISPATCH_AVX2(call) \
-  do {                             \
-  } while (0)
-#define PODNET_DISPATCH_AVX2_RET(call) \
-  do {                                 \
-  } while (0)
-#endif
-
-// Widest-first: AVX-512 when active, else AVX2, else fall through.
-#define PODNET_DISPATCH_SIMD(call)  \
-  do {                              \
-    PODNET_DISPATCH_AVX512(call);   \
-    PODNET_DISPATCH_AVX2(call);     \
-  } while (0)
-#define PODNET_DISPATCH_SIMD_RET(call)  \
-  do {                                  \
-    PODNET_DISPATCH_AVX512_RET(call);   \
-    PODNET_DISPATCH_AVX2_RET(call);     \
-  } while (0)
-
+// Each function reads the active dispatch level once (kernels::on_level).
+// At AVX2 and AVX-512 it runs that tier's instantiation of the shared body
+// in vector_kernels.h, or the tier's hand-written exp kernel (simd.h); at
+// the scalar tier it runs the sequential loop below, the reference the
+// vector tiers are tested against.
 namespace podnet::tensor {
+
+using kernels::on_level;
 
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {
   assert(x.size() == y.size());
-  PODNET_DISPATCH_SIMD(axpy(alpha, x.data(), y.data(), x.size()));
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
+  on_level(
+      [&](auto lvl) {
+        kernels::axpy<lvl()>(alpha, x.data(), y.data(), std::ssize(y));
+      },
+      [&] {
+        for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
+      });
 }
 
 void axpby(float alpha, std::span<const float> x, float beta,
            std::span<float> y) {
   assert(x.size() == y.size());
-  PODNET_DISPATCH_SIMD(axpby(alpha, x.data(), beta, y.data(), x.size()));
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = alpha * x[i] + beta * y[i];
+  on_level(
+      [&](auto lvl) {
+        kernels::axpby<lvl()>(alpha, x.data(), beta, y.data(), std::ssize(y));
+      },
+      [&] {
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          y[i] = alpha * x[i] + beta * y[i];
+        }
+      });
 }
 
 void scale(float alpha, std::span<float> x) {
-  PODNET_DISPATCH_SIMD(scale(alpha, x.data(), x.size()));
-  for (float& v : x) v *= alpha;
+  on_level(
+      [&](auto lvl) { kernels::scale<lvl()>(alpha, x.data(), std::ssize(x)); },
+      [&] { for (float& v : x) v *= alpha; });
 }
 
 void scale_copy(float alpha, std::span<const float> x, std::span<float> y) {
   assert(x.size() == y.size());
-  PODNET_DISPATCH_SIMD(scale_copy(alpha, x.data(), y.data(), x.size()));
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = alpha * x[i];
+  on_level(
+      [&](auto lvl) {
+        kernels::scale_copy<lvl()>(alpha, x.data(), y.data(), std::ssize(y));
+      },
+      [&] {
+        for (std::size_t i = 0; i < x.size(); ++i) y[i] = alpha * x[i];
+      });
 }
 
 void add_inplace(std::span<const float> x, std::span<float> y) {
   assert(x.size() == y.size());
-  PODNET_DISPATCH_SIMD(add_inplace(x.data(), y.data(), x.size()));
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += x[i];
+  on_level(
+      [&](auto lvl) {
+        kernels::add_inplace<lvl()>(x.data(), y.data(), std::ssize(y));
+      },
+      [&] { for (std::size_t i = 0; i < x.size(); ++i) y[i] += x[i]; });
 }
 
 void mul_inplace(std::span<const float> x, std::span<float> y) {
   assert(x.size() == y.size());
-  PODNET_DISPATCH_SIMD(mul_inplace(x.data(), y.data(), x.size()));
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] *= x[i];
+  on_level(
+      [&](auto lvl) {
+        kernels::mul_inplace<lvl()>(x.data(), y.data(), std::ssize(y));
+      },
+      [&] { for (std::size_t i = 0; i < x.size(); ++i) y[i] *= x[i]; });
 }
 
 void fma_inplace(std::span<const float> a, std::span<const float> b,
                  std::span<float> y) {
   assert(a.size() == y.size() && b.size() == y.size());
-  PODNET_DISPATCH_SIMD(fma_inplace(a.data(), b.data(), y.data(), y.size()));
-  for (std::size_t i = 0; i < y.size(); ++i) y[i] += a[i] * b[i];
+  on_level(
+      [&](auto lvl) {
+        kernels::fma_inplace<lvl()>(a.data(), b.data(), y.data(),
+                                    std::ssize(y));
+      },
+      [&] {
+        for (std::size_t i = 0; i < y.size(); ++i) y[i] += a[i] * b[i];
+      });
 }
 
 double sum(std::span<const float> x) {
-  PODNET_DISPATCH_SIMD_RET(sum(x.data(), x.size()));
-  double s = 0.0;
-  for (float v : x) s += v;
-  return s;
+  return on_level(
+      [&](auto lvl) { return kernels::sum<lvl()>(x.data(), std::ssize(x)); },
+      [&] {
+        double s = 0.0;
+        for (float v : x) s += v;
+        return s;
+      });
 }
 
 double sum_squares(std::span<const float> x) {
-  PODNET_DISPATCH_SIMD_RET(sum_squares(x.data(), x.size()));
-  double s = 0.0;
-  for (float v : x) s += static_cast<double>(v) * v;
-  return s;
+  return on_level(
+      [&](auto lvl) {
+        return kernels::sum_squares<lvl()>(x.data(), std::ssize(x));
+      },
+      [&] {
+        double s = 0.0;
+        for (float v : x) s += static_cast<double>(v) * v;
+        return s;
+      });
 }
 
 double l2_norm(std::span<const float> x) { return std::sqrt(sum_squares(x)); }
 
 double dot(std::span<const float> x, std::span<const float> y) {
   assert(x.size() == y.size());
-  PODNET_DISPATCH_SIMD_RET(dot(x.data(), y.data(), x.size()));
-  double s = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i)
-    s += static_cast<double>(x[i]) * y[i];
-  return s;
+  return on_level(
+      [&](auto lvl) {
+        return kernels::dot<lvl()>(x.data(), y.data(), std::ssize(x));
+      },
+      [&] {
+        double s = 0.0;
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          s += static_cast<double>(x[i]) * y[i];
+        }
+        return s;
+      });
 }
 
 float max_value(std::span<const float> x) {
-  PODNET_DISPATCH_SIMD_RET(max_value(x.data(), x.size()));
-  float m = -std::numeric_limits<float>::infinity();
-  for (float v : x) m = std::max(m, v);
-  return m;
+  return on_level(
+      [&](auto lvl) {
+        return kernels::max_value<lvl()>(x.data(), std::ssize(x));
+      },
+      [&] {
+        float m = -std::numeric_limits<float>::infinity();
+        for (float v : x) m = std::max(m, v);
+        return m;
+      });
 }
 
 bool all_finite(std::span<const float> x) {
-  PODNET_DISPATCH_SIMD_RET(all_finite(x.data(), x.size()));
-  // A float is non-finite iff its exponent field is all-ones, so the max
-  // of the masked bits decides for the whole span.
-  std::uint32_t worst = 0;
-  for (const float v : x) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    worst = std::max(worst, bits & 0x7f800000u);
-  }
-  return worst != 0x7f800000u;
+  return on_level(
+      [&](auto lvl) {
+        return kernels::all_finite<lvl()>(x.data(), std::ssize(x));
+      },
+      [&] {
+        // A float is non-finite iff its exponent field is all-ones, so the
+        // max of the masked bits decides for the whole span.
+        std::uint32_t worst = 0;
+        for (const float v : x) {
+          std::uint32_t bits;
+          std::memcpy(&bits, &v, sizeof(bits));
+          worst = std::max(worst, bits & 0x7f800000u);
+        }
+        return worst != 0x7f800000u;
+      });
 }
 
 void sigmoid(std::span<const float> x, std::span<float> y) {
   assert(x.size() == y.size());
-  PODNET_DISPATCH_SIMD(sigmoid(x.data(), y.data(), x.size()));
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    y[i] = 1.0f / (1.0f + std::exp(-x[i]));
-  }
+  on_level(
+      [&](auto lvl) { simd::sigmoid<lvl()>(x.data(), y.data(), x.size()); },
+      [&] {
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          y[i] = 1.0f / (1.0f + std::exp(-x[i]));
+        }
+      });
 }
 
 void swish(std::span<const float> x, std::span<float> sig,
            std::span<float> y) {
   assert(x.size() == sig.size() && x.size() == y.size());
-  PODNET_DISPATCH_SIMD(swish(x.data(), sig.data(), y.data(), x.size()));
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    sig[i] = 1.0f / (1.0f + std::exp(-x[i]));
-    y[i] = x[i] * sig[i];
-  }
+  on_level(
+      [&](auto lvl) {
+        simd::swish<lvl()>(x.data(), sig.data(), y.data(), x.size());
+      },
+      [&] {
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          sig[i] = 1.0f / (1.0f + std::exp(-x[i]));
+          y[i] = x[i] * sig[i];
+        }
+      });
 }
 
 void swish_backward(std::span<const float> g, std::span<const float> x,
                     std::span<const float> sig, std::span<float> out) {
   assert(g.size() == out.size() && x.size() == out.size() &&
          sig.size() == out.size());
-  PODNET_DISPATCH_SIMD(
-      swish_backward(g.data(), x.data(), sig.data(), out.data(), out.size()));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = g[i] * sig[i] * (1.0f + x[i] * (1.0f - sig[i]));
-  }
+  on_level(
+      [&](auto lvl) {
+        kernels::swish_backward<lvl()>(g.data(), x.data(), sig.data(),
+                                       out.data(), std::ssize(out));
+      },
+      [&] {
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          out[i] = g[i] * sig[i] * (1.0f + x[i] * (1.0f - sig[i]));
+        }
+      });
 }
 
 void sigmoid_backward(std::span<const float> g, std::span<const float> y,
                       std::span<float> out) {
   assert(g.size() == out.size() && y.size() == out.size());
-  PODNET_DISPATCH_SIMD(
-      sigmoid_backward(g.data(), y.data(), out.data(), out.size()));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = g[i] * y[i] * (1.0f - y[i]);
-  }
+  on_level(
+      [&](auto lvl) {
+        kernels::sigmoid_backward<lvl()>(g.data(), y.data(), out.data(),
+                                         std::ssize(out));
+      },
+      [&] {
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          out[i] = g[i] * y[i] * (1.0f - y[i]);
+        }
+      });
 }
 
 void relu(std::span<const float> x, std::span<float> y) {
   assert(x.size() == y.size());
-  PODNET_DISPATCH_SIMD(relu(x.data(), y.data(), x.size()));
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] = x[i] > 0.f ? x[i] : 0.f;
+  on_level(
+      [&](auto lvl) {
+        kernels::relu<lvl()>(x.data(), y.data(), std::ssize(y));
+      },
+      [&] {
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          y[i] = x[i] <= 0.f ? 0.f : x[i];
+        }
+      });
 }
 
 void relu_backward(std::span<const float> g, std::span<const float> x,
                    std::span<float> out) {
   assert(g.size() == out.size() && x.size() == out.size());
-  PODNET_DISPATCH_SIMD(
-      relu_backward(g.data(), x.data(), out.data(), out.size()));
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = x[i] > 0.f ? g[i] : 0.f;
-  }
+  on_level(
+      [&](auto lvl) {
+        kernels::relu_backward<lvl()>(g.data(), x.data(), out.data(),
+                                      std::ssize(out));
+      },
+      [&] {
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          out[i] = x[i] > 0.f ? g[i] : 0.f;
+        }
+      });
 }
 
 void softmax_rows(float* x, std::int64_t rows, std::int64_t cols) {
-#if defined(PODNET_HAVE_AVX512)
-  if (simd::active_level() == simd::Level::kAvx512) {
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float* row = x + r * cols;
-      const std::size_t n = static_cast<std::size_t>(cols);
-      const float m = simd::avx512::max_value(row, n);
-      const double denom = simd::avx512::exp_sub_sum(row, n, m);
-      simd::avx512::scale(static_cast<float>(1.0 / denom), row, n);
-    }
-    return;
-  }
-#endif
-#if defined(PODNET_HAVE_AVX2)
-  if (simd::active_level() >= simd::Level::kAvx2) {
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float* row = x + r * cols;
-      const std::size_t n = static_cast<std::size_t>(cols);
-      const float m = simd::avx2::max_value(row, n);
-      const double denom = simd::avx2::exp_sub_sum(row, n, m);
-      simd::avx2::scale(static_cast<float>(1.0 / denom), row, n);
-    }
-    return;
-  }
-#endif
-  for (std::int64_t r = 0; r < rows; ++r) {
-    float* row = x + r * cols;
-    float m = -std::numeric_limits<float>::infinity();
-    for (std::int64_t c = 0; c < cols; ++c) m = std::max(m, row[c]);
-    double denom = 0.0;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      row[c] = std::exp(row[c] - m);
-      denom += row[c];
-    }
-    const float inv = static_cast<float>(1.0 / denom);
-    for (std::int64_t c = 0; c < cols; ++c) row[c] *= inv;
-  }
+  on_level(
+      [&](auto lvl) {
+        for (std::int64_t r = 0; r < rows; ++r) {
+          float* row = x + r * cols;
+          const float m = kernels::max_value<lvl()>(row, cols);
+          simd::exp_sub<lvl()>(row, static_cast<std::size_t>(cols), m);
+          const double denom = kernels::sum<lvl()>(row, cols);
+          kernels::scale<lvl()>(static_cast<float>(1.0 / denom), row, cols);
+        }
+      },
+      [&] {
+        for (std::int64_t r = 0; r < rows; ++r) {
+          float* row = x + r * cols;
+          float m = -std::numeric_limits<float>::infinity();
+          for (std::int64_t c = 0; c < cols; ++c) m = std::max(m, row[c]);
+          double denom = 0.0;
+          for (std::int64_t c = 0; c < cols; ++c) {
+            row[c] = std::exp(row[c] - m);
+            denom += row[c];
+          }
+          const float inv = static_cast<float>(1.0 / denom);
+          for (std::int64_t c = 0; c < cols; ++c) row[c] *= inv;
+        }
+      });
 }
 
 void argmax_rows(const float* x, std::int64_t rows, std::int64_t cols,

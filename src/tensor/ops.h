@@ -3,8 +3,9 @@
 // These are deliberately free functions over spans so the nn layers, the
 // optimizers, and the collectives all share one small vocabulary of
 // vectorizable loops. Each function dispatches once per call between a
-// portable scalar loop and an AVX2/FMA kernel (see tensor/simd.h); the
-// scalar loop is the reference the SIMD path is parity-tested against.
+// portable scalar loop and the AVX2 or AVX-512 kernel (see tensor/simd.h);
+// the scalar loop is the reference the SIMD tiers are parity-tested
+// against. The two SIMD tiers give bitwise equal results.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +59,7 @@ void swish_backward(std::span<const float> g, std::span<const float> x,
 // out = g * y * (1 - y), with y = sigmoid output
 void sigmoid_backward(std::span<const float> g, std::span<const float> y,
                       std::span<float> out);
-// y = max(x, 0)
+// y = x <= 0 ? 0 : x (NaN stays NaN, -0 becomes +0)
 void relu(std::span<const float> x, std::span<float> y);
 // out = x > 0 ? g : 0
 void relu_backward(std::span<const float> g, std::span<const float> x,

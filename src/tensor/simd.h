@@ -1,11 +1,15 @@
 // Runtime SIMD dispatch for the compute hot path.
 //
-// PodNet ships three implementations of every hot kernel: a portable
-// scalar reference (bit-compatible with the original code, used for parity
-// tests and on CPUs without AVX2), an AVX2/FMA path compiled into a
-// separate translation unit (`simd_avx2.cc`) with `-mavx2 -mfma`, and an
-// AVX-512 path (`simd_avx512.cc`, `-mavx512{f,bw,dq,vl}`). Which one runs
-// is decided once at startup:
+// Every hot kernel has a portable scalar tier (the reference that parity
+// tests and benchmarks measure against, and the path on CPUs without AVX2)
+// and two vector tiers, each compiled into its own translation unit:
+// AVX2/FMA (`simd_avx2.cc`, `-mavx2 -mfma`) and AVX-512 (`simd_avx512.cc`,
+// `-mavx512{f,bw,dq,vl}`). The elementwise, reduction, activation-backward,
+// bf16 and per-channel kernels are written once, in vector_kernels.h, and
+// each tier's TU instantiates them with its own flags. Hand-written per tier
+// are only the GEMM microkernels and packing, the polynomial exp and the
+// passes built on it (declared below), and the direct-convolution kernels
+// (conv_direct.h). Which tier runs is decided once at startup:
 //
 //   compile time  — each SIMD TU only exists when the compiler accepts its
 //                   flags (PODNET_HAVE_AVX2 / PODNET_HAVE_AVX512 are
@@ -68,47 +72,32 @@ class ScopedLevel {
   Level prev_;
 };
 
+// Kernels built on the polynomial exp, hand-written per vector tier: each
+// SIMD TU defines the specialization for its level (see ops.h for sigmoid
+// and swish). exp_sub sets row[c] = exp(row[c] - m). Only the tensor
+// library's own TUs may call these, after checking active_level().
+template <Level L>
+void sigmoid(const float* x, float* y, std::size_t n);
+template <Level L>
+void swish(const float* x, float* sig, float* y, std::size_t n);
+template <Level L>
+void exp_sub(float* row, std::size_t n, float m);
+
 #if defined(PODNET_HAVE_AVX2)
-// Kernels implemented in simd_avx2.cc. Only the tensor library's own
+template <>
+void sigmoid<Level::kAvx2>(const float* x, float* y, std::size_t n);
+template <>
+void swish<Level::kAvx2>(const float* x, float* sig, float* y, std::size_t n);
+template <>
+void exp_sub<Level::kAvx2>(float* row, std::size_t n, float m);
+
+// GEMM kernels implemented in simd_avx2.cc. Only the tensor library's own
 // translation units see these declarations (the define is PRIVATE to the
 // target); everything else goes through the dispatching wrappers in
-// ops.h / gemm.h / bf16.h / conv_direct.h. Callers must have checked
-// active_level() (or, for GEMM tiles, the recorded PackedB layout).
+// gemm.h. Callers must have checked active_level() or the recorded PackedB
+// layout.
 namespace avx2 {
 
-// ---- elementwise / reduction primitives (see ops.h for semantics) ----
-void axpy(float alpha, const float* x, float* y, std::size_t n);
-void axpby(float alpha, const float* x, float beta, float* y, std::size_t n);
-void scale(float alpha, float* x, std::size_t n);
-void scale_copy(float alpha, const float* x, float* y, std::size_t n);
-void add_inplace(const float* x, float* y, std::size_t n);
-void mul_inplace(const float* x, float* y, std::size_t n);
-void fma_inplace(const float* a, const float* b, float* y, std::size_t n);
-double sum(const float* x, std::size_t n);
-double sum_squares(const float* x, std::size_t n);
-double dot(const float* x, const float* y, std::size_t n);
-float max_value(const float* x, std::size_t n);
-bool all_finite(const float* x, std::size_t n);
-
-// ---- transcendental / activation kernels ----
-void sigmoid(const float* x, float* y, std::size_t n);
-void swish(const float* x, float* sig, float* y, std::size_t n);
-void swish_backward(const float* g, const float* x, const float* sig,
-                    float* out, std::size_t n);
-void sigmoid_backward(const float* g, const float* y, float* out,
-                      std::size_t n);
-void relu(const float* x, float* y, std::size_t n);
-void relu_backward(const float* g, const float* x, float* out, std::size_t n);
-// row[c] = exp(row[c] - m); returns the sum of the exponentials.
-double exp_sub_sum(float* row, std::size_t n, float m);
-
-// ---- bf16 ----
-// Bit-exact vector version of the scalar round-to-nearest-even roundtrip.
-// There is deliberately no AVX-512 variant: this one is the vector
-// reference all levels share, keeping the round bit-exact everywhere.
-void bf16_round_inplace(float* x, std::size_t n);
-
-// ---- GEMM ----
 // Packs op(B) (k x n) into zero-padded column panels of width kNr for the
 // 6x16 microkernel.
 inline constexpr std::int64_t kMr = 6;
@@ -132,40 +121,22 @@ void gemm_tile(bool trans_a, std::int64_t m0, std::int64_t m1,
 #endif  // PODNET_HAVE_AVX2
 
 #if defined(PODNET_HAVE_AVX512)
-// Kernels implemented in simd_avx512.cc (same visibility contract as the
-// avx2 namespace above). The AVX-512 tier carries the primitives feeding
-// LARS and the all-reduce loops, the activation kernels, and a wider-N
-// GEMM microkernel; bf16 rounding intentionally reuses avx2's bit-exact
-// kernel.
+template <>
+void sigmoid<Level::kAvx512>(const float* x, float* y, std::size_t n);
+template <>
+void swish<Level::kAvx512>(const float* x, float* sig, float* y,
+                           std::size_t n);
+template <>
+void exp_sub<Level::kAvx512>(float* row, std::size_t n, float m);
+
+// GEMM kernels implemented in simd_avx512.cc (same visibility contract as
+// the avx2 namespace above): an 8x32 microkernel (8 rows x 2 ZMM
+// accumulator columns, embedded-broadcast A operands), twice the N-register
+// block of the AVX2 kernel, so the packed-B panels are 32 floats wide and
+// incompatible with avx2::pack_b output — PackedB records which width it
+// was packed with.
 namespace avx512 {
 
-void axpy(float alpha, const float* x, float* y, std::size_t n);
-void axpby(float alpha, const float* x, float beta, float* y, std::size_t n);
-void scale(float alpha, float* x, std::size_t n);
-void scale_copy(float alpha, const float* x, float* y, std::size_t n);
-void add_inplace(const float* x, float* y, std::size_t n);
-void mul_inplace(const float* x, float* y, std::size_t n);
-void fma_inplace(const float* a, const float* b, float* y, std::size_t n);
-double sum(const float* x, std::size_t n);
-double sum_squares(const float* x, std::size_t n);
-double dot(const float* x, const float* y, std::size_t n);
-float max_value(const float* x, std::size_t n);
-bool all_finite(const float* x, std::size_t n);
-
-void sigmoid(const float* x, float* y, std::size_t n);
-void swish(const float* x, float* sig, float* y, std::size_t n);
-void swish_backward(const float* g, const float* x, const float* sig,
-                    float* out, std::size_t n);
-void sigmoid_backward(const float* g, const float* y, float* out,
-                      std::size_t n);
-void relu(const float* x, float* y, std::size_t n);
-void relu_backward(const float* g, const float* x, float* out, std::size_t n);
-double exp_sub_sum(float* row, std::size_t n, float m);
-
-// 8x32 microkernel (8 rows x 2 ZMM accumulator columns, embedded-broadcast
-// A operands): twice the N-register block of the AVX2 kernel, so the
-// packed-B panels are 32 floats wide and incompatible with avx2::pack_b
-// output — PackedB records which width it was packed with.
 inline constexpr std::int64_t kMr = 8;
 inline constexpr std::int64_t kNr = 32;
 std::size_t packed_b_size(std::int64_t k, std::int64_t n);

@@ -1,4 +1,6 @@
-// AVX2/FMA implementations of the hot kernels declared in simd.h.
+// AVX2/FMA tier: the shared vector kernels of vector_kernels.h
+// instantiated with this TU's flags, plus the hand-written kernels declared
+// in simd.h and conv_direct.h.
 //
 // This translation unit is compiled with -mavx2 -mfma (see
 // src/tensor/CMakeLists.txt); nothing here may be called unless
@@ -13,53 +15,22 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
-#include <cstring>
-#include <limits>
+#include <iterator>
 #include <vector>
 
-#include "tensor/channel_kernels.h"
 #include "tensor/conv_direct.h"
+#include "tensor/vector_kernels.h"
 
-namespace podnet::tensor::simd::avx2 {
-namespace {
-
-// ---------------------------------------------------------------------------
-// Horizontal reductions
-// ---------------------------------------------------------------------------
-
-double hsum(__m256d v) {
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d s2 = _mm_add_pd(lo, hi);
-  const __m128d s1 = _mm_add_sd(s2, _mm_unpackhi_pd(s2, s2));
-  return _mm_cvtsd_f64(s1);
-}
-
-float hmax(__m256 v) {
-  const __m128 lo = _mm_max_ps(_mm256_castps256_ps128(v),
-                               _mm256_extractf128_ps(v, 1));
-  const __m128 m2 = _mm_max_ps(lo, _mm_movehl_ps(lo, lo));
-  const __m128 m1 = _mm_max_ss(m2, _mm_shuffle_ps(m2, m2, 1));
-  return _mm_cvtss_f32(m1);
-}
-
-// Widens the 8 floats of v into two 4-wide double accumulators.
-void accumulate_pd(__m256 v, __m256d& acc0, __m256d& acc1) {
-  acc0 = _mm256_add_pd(acc0, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
-  acc1 = _mm256_add_pd(acc1, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
-}
-
-}  // namespace
+namespace podnet::tensor::simd {
+namespace avx2 {
 
 // ---------------------------------------------------------------------------
 // expf — Cephes-style polynomial, the standard AVX port. Max error vs
 // std::expf is ~1-2 ulp over the clamped range; inputs outside
-// [-88.38, 88.38] saturate to the boundary value (finite). Named (not in
-// the anonymous namespace) so the conv::avx2 kernels below can share it
-// for the fused swish epilogue.
+// [-88.38, 88.38] saturate to the boundary value (finite). The conv::avx2
+// kernels below share it for the fused swish epilogue.
 // ---------------------------------------------------------------------------
 
 __m256 exp256_ps(__m256 x) {
@@ -108,297 +79,53 @@ float exp_scalar_tail(float x) {
   return _mm_cvtss_f32(_mm256_castps256_ps128(v));
 }
 
-// ---------------------------------------------------------------------------
-// Elementwise / reduction primitives
-// ---------------------------------------------------------------------------
-
-void axpy(float alpha, const float* x, float* y, std::size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vy = _mm256_loadu_ps(y + i);
-    _mm256_storeu_ps(y + i, _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), vy));
-  }
-  for (; i < n; ++i) y[i] = std::fma(alpha, x[i], y[i]);
-}
-
-void axpby(float alpha, const float* x, float beta, float* y, std::size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  const __m256 vb = _mm256_set1_ps(beta);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 by = _mm256_mul_ps(vb, _mm256_loadu_ps(y + i));
-    _mm256_storeu_ps(y + i, _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i), by));
-  }
-  for (; i < n; ++i) y[i] = std::fma(alpha, x[i], beta * y[i]);
-}
-
-void scale(float alpha, float* x, std::size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, _mm256_mul_ps(va, _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) x[i] *= alpha;
-}
-
-void scale_copy(float alpha, const float* x, float* y, std::size_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(y + i, _mm256_mul_ps(va, _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) y[i] = alpha * x[i];
-}
-
-void add_inplace(const float* x, float* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) y[i] += x[i];
-}
-
-void mul_inplace(const float* x, float* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        y + i, _mm256_mul_ps(_mm256_loadu_ps(y + i), _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) y[i] *= x[i];
-}
-
-void fma_inplace(const float* a, const float* b, float* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vy = _mm256_loadu_ps(y + i);
-    _mm256_storeu_ps(y + i,
-                     _mm256_fmadd_ps(_mm256_loadu_ps(a + i),
-                                     _mm256_loadu_ps(b + i), vy));
-  }
-  for (; i < n; ++i) y[i] = std::fma(a[i], b[i], y[i]);
-}
-
-double sum(const float* x, std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    accumulate_pd(_mm256_loadu_ps(x + i), acc0, acc1);
-  }
-  double s = hsum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) s += x[i];
-  return s;
-}
-
-double sum_squares(const float* x, std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    const __m256d d0 = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-    const __m256d d1 = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
-    acc0 = _mm256_fmadd_pd(d0, d0, acc0);
-    acc1 = _mm256_fmadd_pd(d1, d1, acc1);
-  }
-  double s = hsum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) s += static_cast<double>(x[i]) * x[i];
-  return s;
-}
-
-double dot(const float* x, const float* y, std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vx = _mm256_loadu_ps(x + i);
-    const __m256 vy = _mm256_loadu_ps(y + i);
-    acc0 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(vx)),
-                           _mm256_cvtps_pd(_mm256_castps256_ps128(vy)), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(vx, 1)),
-                           _mm256_cvtps_pd(_mm256_extractf128_ps(vy, 1)),
-                           acc1);
-  }
-  double s = hsum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) s += static_cast<double>(x[i]) * y[i];
-  return s;
-}
-
-float max_value(const float* x, std::size_t n) {
-  float m = -std::numeric_limits<float>::infinity();
-  std::size_t i = 0;
-  if (n >= 8) {
-    __m256 vm = _mm256_loadu_ps(x);
-    for (i = 8; i + 8 <= n; i += 8) {
-      vm = _mm256_max_ps(vm, _mm256_loadu_ps(x + i));
-    }
-    m = hmax(vm);
-  }
-  for (; i < n; ++i) m = std::max(m, x[i]);
-  return m;
-}
-
-bool all_finite(const float* x, std::size_t n) {
-  // A float is non-finite iff its exponent field is all-ones: an unsigned
-  // max over the masked bits decides without any FP comparisons (NaN
-  // never poisons an integer max).
-  const __m256i exp_mask = _mm256_set1_epi32(0x7f800000);
-  __m256i worst = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i bits =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    worst = _mm256_max_epu32(worst, _mm256_and_si256(bits, exp_mask));
-  }
-  const __m256i bad = _mm256_cmpeq_epi32(_mm256_and_si256(worst, exp_mask),
-                                         exp_mask);
-  if (_mm256_movemask_epi8(bad) != 0) return false;
-  for (; i < n; ++i) {
-    std::uint32_t b;
-    std::memcpy(&b, x + i, sizeof(b));
-    if ((b & 0x7f800000u) == 0x7f800000u) return false;
-  }
-  return true;
-}
+}  // namespace avx2
 
 // ---------------------------------------------------------------------------
-// Activations
+// Activations on the polynomial exp
 // ---------------------------------------------------------------------------
 
-void sigmoid(const float* x, float* y, std::size_t n) {
+template <>
+void sigmoid<Level::kAvx2>(const float* x, float* y, std::size_t n) {
   const __m256 one = _mm256_set1_ps(1.0f);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 v = _mm256_loadu_ps(x + i);
-    const __m256 e = exp256_ps(_mm256_sub_ps(_mm256_setzero_ps(), v));
+    const __m256 e = avx2::exp256_ps(_mm256_sub_ps(_mm256_setzero_ps(), v));
     _mm256_storeu_ps(y + i, _mm256_div_ps(one, _mm256_add_ps(one, e)));
   }
-  for (; i < n; ++i) y[i] = 1.0f / (1.0f + exp_scalar_tail(-x[i]));
+  for (; i < n; ++i) y[i] = 1.0f / (1.0f + avx2::exp_scalar_tail(-x[i]));
 }
 
-void swish(const float* x, float* sig, float* y, std::size_t n) {
+template <>
+void swish<Level::kAvx2>(const float* x, float* sig, float* y, std::size_t n) {
   const __m256 one = _mm256_set1_ps(1.0f);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 v = _mm256_loadu_ps(x + i);
-    const __m256 e = exp256_ps(_mm256_sub_ps(_mm256_setzero_ps(), v));
+    const __m256 e = avx2::exp256_ps(_mm256_sub_ps(_mm256_setzero_ps(), v));
     const __m256 s = _mm256_div_ps(one, _mm256_add_ps(one, e));
     _mm256_storeu_ps(sig + i, s);
     _mm256_storeu_ps(y + i, _mm256_mul_ps(v, s));
   }
   for (; i < n; ++i) {
-    sig[i] = 1.0f / (1.0f + exp_scalar_tail(-x[i]));
+    sig[i] = 1.0f / (1.0f + avx2::exp_scalar_tail(-x[i]));
     y[i] = x[i] * sig[i];
   }
 }
 
-void swish_backward(const float* g, const float* x, const float* sig,
-                    float* out, std::size_t n) {
-  // d/dx [x*s(x)] = s * (1 + x * (1 - s))
-  const __m256 one = _mm256_set1_ps(1.0f);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 s = _mm256_loadu_ps(sig + i);
-    const __m256 vx = _mm256_loadu_ps(x + i);
-    const __m256 t =
-        _mm256_fmadd_ps(vx, _mm256_sub_ps(one, s), one);  // 1 + x*(1-s)
-    const __m256 d = _mm256_mul_ps(s, t);
-    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(g + i), d));
-  }
-  for (; i < n; ++i) {
-    out[i] = g[i] * sig[i] * std::fma(x[i], 1.0f - sig[i], 1.0f);
-  }
-}
-
-void sigmoid_backward(const float* g, const float* y, float* out,
-                      std::size_t n) {
-  const __m256 one = _mm256_set1_ps(1.0f);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 vy = _mm256_loadu_ps(y + i);
-    const __m256 d = _mm256_mul_ps(vy, _mm256_sub_ps(one, vy));
-    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(g + i), d));
-  }
-  for (; i < n; ++i) out[i] = g[i] * y[i] * (1.0f - y[i]);
-}
-
-void relu(const float* x, float* y, std::size_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(y + i, _mm256_max_ps(zero, _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) y[i] = x[i] > 0.f ? x[i] : 0.f;
-}
-
-void relu_backward(const float* g, const float* x, float* out, std::size_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 mask = _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero, _CMP_GT_OQ);
-    _mm256_storeu_ps(out + i, _mm256_and_ps(mask, _mm256_loadu_ps(g + i)));
-  }
-  for (; i < n; ++i) out[i] = x[i] > 0.f ? g[i] : 0.f;
-}
-
-double exp_sub_sum(float* row, std::size_t n, float m) {
+template <>
+void exp_sub<Level::kAvx2>(float* row, std::size_t n, float m) {
   const __m256 vm = _mm256_set1_ps(m);
-  __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256 e = exp256_ps(_mm256_sub_ps(_mm256_loadu_ps(row + i), vm));
-    _mm256_storeu_ps(row + i, e);
-    accumulate_pd(e, acc0, acc1);
+    _mm256_storeu_ps(row + i, avx2::exp256_ps(_mm256_sub_ps(
+                                  _mm256_loadu_ps(row + i), vm)));
   }
-  double s = hsum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) {
-    row[i] = exp_scalar_tail(row[i] - m);
-    s += row[i];
-  }
-  return s;
+  for (; i < n; ++i) row[i] = avx2::exp_scalar_tail(row[i] - m);
 }
 
-// ---------------------------------------------------------------------------
-// bf16 round-to-nearest-even roundtrip, bit-exact vs bf16::round_bits.
-// ---------------------------------------------------------------------------
-
-void bf16_round_inplace(float* x, std::size_t n) {
-  const __m256i abs_mask = _mm256_set1_epi32(0x7fffffff);
-  const __m256i inf_bits = _mm256_set1_epi32(0x7f800000);
-  const __m256i bias = _mm256_set1_epi32(0x7fff);
-  const __m256i one = _mm256_set1_epi32(1);
-  const __m256i hi_mask = _mm256_set1_epi32(
-      static_cast<std::int32_t>(0xffff0000u));
-  const __m256i nan_bit = _mm256_set1_epi32(0x00400000);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    // Round-to-nearest-even on the upper 16 bits: add 0x7fff plus the
-    // round bit's lsb, then truncate. Matches bf16::round_bits exactly.
-    const __m256i lsb = _mm256_and_si256(_mm256_srli_epi32(v, 16), one);
-    const __m256i rounded = _mm256_and_si256(
-        _mm256_add_epi32(v, _mm256_add_epi32(bias, lsb)), hi_mask);
-    // NaN: truncate and force a mantissa bit. abs(v) <= INT32_MAX after
-    // masking, so the signed compare is safe.
-    const __m256i is_nan =
-        _mm256_cmpgt_epi32(_mm256_and_si256(v, abs_mask), inf_bits);
-    const __m256i nan_val =
-        _mm256_or_si256(_mm256_and_si256(v, hi_mask), nan_bit);
-    const __m256i out = _mm256_blendv_epi8(rounded, nan_val, is_nan);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(x + i), out);
-  }
-  for (; i < n; ++i) {
-    const std::uint32_t u = std::bit_cast<std::uint32_t>(x[i]);
-    std::uint32_t out;
-    if ((u & 0x7fffffffu) > 0x7f800000u) {
-      out = (u & 0xffff0000u) | 0x00400000u;
-    } else {
-      const std::uint32_t lsb = (u >> 16) & 1u;
-      out = (u + 0x7fffu + lsb) & 0xffff0000u;
-    }
-    x[i] = std::bit_cast<float>(out);
-  }
-}
+namespace avx2 {
 
 // ---------------------------------------------------------------------------
 // GEMM: register-blocked 6x16 FMA microkernel over packed panels.
@@ -517,9 +244,7 @@ void pack_b(bool trans_b, std::int64_t k, std::int64_t n, const float* b,
       }
     }
   }
-  if (to_bf16) {
-    bf16_round_inplace(dst, static_cast<std::size_t>(n_panels * kNr * k));
-  }
+  if (to_bf16) kernels::bf16_round<Level::kAvx2>(dst, n_panels * kNr * k);
 }
 
 // One tile of the 2D (rows x panels) grid the scheduler in gemm.cc carves
@@ -542,7 +267,10 @@ void gemm_tile(bool trans_a, std::int64_t m0, std::int64_t m1,
       const std::int64_t m_panels = (mc + kMr - 1) / kMr;
       a_panels.resize(static_cast<std::size_t>(m_panels * kMr * kc));
       pack_a_block(trans_a, ic, mc, kb, kc, a, lda, a_panels.data());
-      if (to_bf16) bf16_round_inplace(a_panels.data(), a_panels.size());
+      if (to_bf16) {
+        kernels::bf16_round<Level::kAvx2>(a_panels.data(),
+                                          std::ssize(a_panels));
+      }
       for (std::int64_t ip = 0; ip < m_panels; ++ip) {
         const std::int64_t rows = std::min<std::int64_t>(kMr, mc - ip * kMr);
         const float* ap = a_panels.data() + ip * kMr * kc;
@@ -557,7 +285,8 @@ void gemm_tile(bool trans_a, std::int64_t m0, std::int64_t m1,
   }
 }
 
-}  // namespace podnet::tensor::simd::avx2
+}  // namespace avx2
+}  // namespace podnet::tensor::simd
 
 // ---------------------------------------------------------------------------
 // Direct convolution kernels (see conv_direct.h). Same TU so they share the
@@ -849,8 +578,11 @@ void conv2d_direct_rows(const ConvGeometry& g, std::int64_t out_c,
                                    _mm256_div_ps(one, _mm256_add_ps(one, e)));
           }
         } else if (epilogue == Epilogue::kBiasRelu) {
+          // acc <= 0 ? 0 : acc, as kernels::relu: NaN stays, -0 -> +0.
           for (std::int64_t j = 0; j < nvec; ++j) {
-            acc[j] = _mm256_max_ps(acc[j], _mm256_setzero_ps());
+            acc[j] = _mm256_andnot_ps(
+                _mm256_cmp_ps(acc[j], _mm256_setzero_ps(), _CMP_LE_OQ),
+                acc[j]);
           }
         }
         for (std::int64_t j = 0; j < full; ++j) {
@@ -866,8 +598,7 @@ void conv2d_direct_rows(const ConvGeometry& g, std::int64_t out_c,
 
 }  // namespace podnet::tensor::conv::avx2
 
-// Per-channel kernels (channel_ops.h): the shared bodies, built with this
-// TU's flags.
-PODNET_CHANNEL_KERNELS(template, ::podnet::tensor::simd::Level::kAvx2)
+// The shared vector kernels (vector_kernels.h), built with this TU's flags.
+PODNET_VECTOR_KERNELS(template, ::podnet::tensor::simd::Level::kAvx2)
 
 #endif  // PODNET_HAVE_AVX2

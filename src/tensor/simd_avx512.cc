@@ -1,20 +1,18 @@
-// AVX-512 implementations of the hot kernels declared in simd.h and
+// AVX-512 tier: the shared vector kernels of vector_kernels.h instantiated
+// with this TU's flags, plus the hand-written kernels declared in simd.h and
 // conv_direct.h.
 //
 // This translation unit is compiled with -mavx512f -mavx512bw -mavx512dq
 // -mavx512vl (see src/tensor/CMakeLists.txt); nothing here may be called
 // unless simd::active_level() == Level::kAvx512 (or, for GEMM tiles, the
 // PackedB records the 32-wide panel layout), which implies the
-// cpuid/xgetbv check in simd.cc passed. Tails use opmask registers instead
-// of scalar loops — every lane of every loop runs the same instruction
-// sequence, so there is no vector-vs-tail seam to test separately.
-//
-// bf16 rounding deliberately has no AVX-512 variant: simd_avx2.cc's kernel
-// is the single vector implementation all levels share, keeping the round
-// bit-exact everywhere.
-#include "tensor/channel_kernels.h"
+// cpuid/xgetbv check in simd.cc passed. The hand-written kernels' tails use
+// opmask registers instead of scalar loops — every lane of every loop runs
+// the same instruction sequence, so there is no vector-vs-tail seam to test
+// separately.
 #include "tensor/conv_direct.h"
 #include "tensor/simd.h"
+#include "tensor/vector_kernels.h"
 
 #if defined(PODNET_HAVE_AVX512)
 
@@ -22,24 +20,18 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <cstring>
-#include <limits>
+#include <iterator>
 #include <vector>
 
-namespace podnet::tensor::simd::avx512 {
+namespace podnet::tensor::simd {
+namespace avx512 {
 namespace {
 
-// Lane mask for the first n lanes (n in [0, 16]).
-__mmask16 head_mask(std::size_t n) {
+// Lane mask for the first n lanes (n in [0, 16]); the conv::avx512 kernels
+// below use it too.
+__mmask16 head_mask(std::int64_t n) {
   return n >= 16 ? static_cast<__mmask16>(0xffff)
                  : static_cast<__mmask16>((1u << n) - 1u);
-}
-
-// Widens the 16 floats of v into two 8-wide double accumulators.
-void accumulate_pd(__m512 v, __m512d& acc0, __m512d& acc1) {
-  acc0 = _mm512_add_pd(acc0, _mm512_cvtps_pd(_mm512_castps512_ps256(v)));
-  acc1 = _mm512_add_pd(acc1, _mm512_cvtps_pd(_mm512_extractf32x8_ps(v, 1)));
 }
 
 }  // namespace
@@ -89,218 +81,36 @@ __m512 exp512_ps(__m512 x) {
   return _mm512_mul_ps(y, _mm512_castsi512_ps(n));
 }
 
-// ---------------------------------------------------------------------------
-// Elementwise / reduction primitives
-// ---------------------------------------------------------------------------
-
-void axpy(float alpha, const float* x, float* y, std::size_t n) {
-  const __m512 va = _mm512_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 vy = _mm512_loadu_ps(y + i);
-    _mm512_storeu_ps(y + i, _mm512_fmadd_ps(va, _mm512_loadu_ps(x + i), vy));
-  }
-  if (i < n) {
-    const __mmask16 m = head_mask(n - i);
-    const __m512 vy = _mm512_maskz_loadu_ps(m, y + i);
-    _mm512_mask_storeu_ps(
-        y + i, m, _mm512_fmadd_ps(va, _mm512_maskz_loadu_ps(m, x + i), vy));
-  }
-}
-
-void axpby(float alpha, const float* x, float beta, float* y, std::size_t n) {
-  const __m512 va = _mm512_set1_ps(alpha);
-  const __m512 vb = _mm512_set1_ps(beta);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 by = _mm512_mul_ps(vb, _mm512_loadu_ps(y + i));
-    _mm512_storeu_ps(y + i, _mm512_fmadd_ps(va, _mm512_loadu_ps(x + i), by));
-  }
-  if (i < n) {
-    const __mmask16 m = head_mask(n - i);
-    const __m512 by = _mm512_mul_ps(vb, _mm512_maskz_loadu_ps(m, y + i));
-    _mm512_mask_storeu_ps(
-        y + i, m, _mm512_fmadd_ps(va, _mm512_maskz_loadu_ps(m, x + i), by));
-  }
-}
-
-void scale(float alpha, float* x, std::size_t n) {
-  const __m512 va = _mm512_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(x + i, _mm512_mul_ps(va, _mm512_loadu_ps(x + i)));
-  }
-  if (i < n) {
-    const __mmask16 m = head_mask(n - i);
-    _mm512_mask_storeu_ps(
-        x + i, m, _mm512_mul_ps(va, _mm512_maskz_loadu_ps(m, x + i)));
-  }
-}
-
-void scale_copy(float alpha, const float* x, float* y, std::size_t n) {
-  const __m512 va = _mm512_set1_ps(alpha);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(y + i, _mm512_mul_ps(va, _mm512_loadu_ps(x + i)));
-  }
-  if (i < n) {
-    const __mmask16 m = head_mask(n - i);
-    _mm512_mask_storeu_ps(
-        y + i, m, _mm512_mul_ps(va, _mm512_maskz_loadu_ps(m, x + i)));
-  }
-}
-
-void add_inplace(const float* x, float* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(
-        y + i, _mm512_add_ps(_mm512_loadu_ps(y + i), _mm512_loadu_ps(x + i)));
-  }
-  if (i < n) {
-    const __mmask16 m = head_mask(n - i);
-    _mm512_mask_storeu_ps(y + i, m,
-                          _mm512_add_ps(_mm512_maskz_loadu_ps(m, y + i),
-                                        _mm512_maskz_loadu_ps(m, x + i)));
-  }
-}
-
-void mul_inplace(const float* x, float* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(
-        y + i, _mm512_mul_ps(_mm512_loadu_ps(y + i), _mm512_loadu_ps(x + i)));
-  }
-  if (i < n) {
-    const __mmask16 m = head_mask(n - i);
-    _mm512_mask_storeu_ps(y + i, m,
-                          _mm512_mul_ps(_mm512_maskz_loadu_ps(m, y + i),
-                                        _mm512_maskz_loadu_ps(m, x + i)));
-  }
-}
-
-void fma_inplace(const float* a, const float* b, float* y, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 vy = _mm512_loadu_ps(y + i);
-    _mm512_storeu_ps(y + i,
-                     _mm512_fmadd_ps(_mm512_loadu_ps(a + i),
-                                     _mm512_loadu_ps(b + i), vy));
-  }
-  if (i < n) {
-    const __mmask16 m = head_mask(n - i);
-    const __m512 vy = _mm512_maskz_loadu_ps(m, y + i);
-    _mm512_mask_storeu_ps(y + i, m,
-                          _mm512_fmadd_ps(_mm512_maskz_loadu_ps(m, a + i),
-                                          _mm512_maskz_loadu_ps(m, b + i),
-                                          vy));
-  }
-}
-
-double sum(const float* x, std::size_t n) {
-  __m512d acc0 = _mm512_setzero_pd(), acc1 = _mm512_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    accumulate_pd(_mm512_loadu_ps(x + i), acc0, acc1);
-  }
-  if (i < n) {
-    // Masked-off lanes are zero: exact for a sum.
-    accumulate_pd(_mm512_maskz_loadu_ps(head_mask(n - i), x + i), acc0, acc1);
-  }
-  return _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
-}
-
-double sum_squares(const float* x, std::size_t n) {
-  __m512d acc0 = _mm512_setzero_pd(), acc1 = _mm512_setzero_pd();
-  std::size_t i = 0;
-  auto step = [&](__m512 v) {
-    const __m512d d0 = _mm512_cvtps_pd(_mm512_castps512_ps256(v));
-    const __m512d d1 = _mm512_cvtps_pd(_mm512_extractf32x8_ps(v, 1));
-    acc0 = _mm512_fmadd_pd(d0, d0, acc0);
-    acc1 = _mm512_fmadd_pd(d1, d1, acc1);
-  };
-  for (; i + 16 <= n; i += 16) step(_mm512_loadu_ps(x + i));
-  if (i < n) step(_mm512_maskz_loadu_ps(head_mask(n - i), x + i));
-  return _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
-}
-
-double dot(const float* x, const float* y, std::size_t n) {
-  __m512d acc0 = _mm512_setzero_pd(), acc1 = _mm512_setzero_pd();
-  std::size_t i = 0;
-  auto step = [&](__m512 vx, __m512 vy) {
-    acc0 = _mm512_fmadd_pd(_mm512_cvtps_pd(_mm512_castps512_ps256(vx)),
-                           _mm512_cvtps_pd(_mm512_castps512_ps256(vy)), acc0);
-    acc1 = _mm512_fmadd_pd(_mm512_cvtps_pd(_mm512_extractf32x8_ps(vx, 1)),
-                           _mm512_cvtps_pd(_mm512_extractf32x8_ps(vy, 1)),
-                           acc1);
-  };
-  for (; i + 16 <= n; i += 16) {
-    step(_mm512_loadu_ps(x + i), _mm512_loadu_ps(y + i));
-  }
-  if (i < n) {
-    const __mmask16 m = head_mask(n - i);
-    step(_mm512_maskz_loadu_ps(m, x + i), _mm512_maskz_loadu_ps(m, y + i));
-  }
-  return _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
-}
-
-float max_value(const float* x, std::size_t n) {
-  const __m512 vninf = _mm512_set1_ps(-std::numeric_limits<float>::infinity());
-  __m512 vm = vninf;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    vm = _mm512_max_ps(vm, _mm512_loadu_ps(x + i));
-  }
-  if (i < n) {
-    // Masked-off lanes read as -inf so they never win the max.
-    vm = _mm512_max_ps(
-        vm, _mm512_mask_loadu_ps(vninf, head_mask(n - i), x + i));
-  }
-  return _mm512_reduce_max_ps(vm);
-}
-
-bool all_finite(const float* x, std::size_t n) {
-  // Non-finite iff the exponent field is all-ones; integer max over the
-  // masked bits, with masked-off tail lanes reading as zero (always
-  // finite-looking, so they never flip the verdict).
-  const __m512i exp_mask = _mm512_set1_epi32(0x7f800000);
-  __m512i worst = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i bits = _mm512_loadu_si512(x + i);
-    worst = _mm512_max_epu32(worst, _mm512_and_si512(bits, exp_mask));
-  }
-  if (i < n) {
-    const __m512i bits = _mm512_maskz_loadu_epi32(head_mask(n - i), x + i);
-    worst = _mm512_max_epu32(worst, _mm512_and_si512(bits, exp_mask));
-  }
-  return _mm512_cmpeq_epi32_mask(worst, exp_mask) == 0;
-}
+}  // namespace avx512
 
 // ---------------------------------------------------------------------------
-// Activations
+// Activations on the polynomial exp
 // ---------------------------------------------------------------------------
 
-void sigmoid(const float* x, float* y, std::size_t n) {
+template <>
+void sigmoid<Level::kAvx512>(const float* x, float* y, std::size_t n) {
   const __m512 one = _mm512_set1_ps(1.0f);
   std::size_t i = 0;
   auto body = [&](__m512 v) {
-    const __m512 e = exp512_ps(_mm512_sub_ps(_mm512_setzero_ps(), v));
+    const __m512 e = avx512::exp512_ps(_mm512_sub_ps(_mm512_setzero_ps(), v));
     return _mm512_div_ps(one, _mm512_add_ps(one, e));
   };
   for (; i + 16 <= n; i += 16) {
     _mm512_storeu_ps(y + i, body(_mm512_loadu_ps(x + i)));
   }
   if (i < n) {
-    const __mmask16 m = head_mask(n - i);
+    const __mmask16 m = avx512::head_mask(n - i);
     _mm512_mask_storeu_ps(y + i, m, body(_mm512_maskz_loadu_ps(m, x + i)));
   }
 }
 
-void swish(const float* x, float* sig, float* y, std::size_t n) {
+template <>
+void swish<Level::kAvx512>(const float* x, float* sig, float* y,
+                           std::size_t n) {
   const __m512 one = _mm512_set1_ps(1.0f);
   std::size_t i = 0;
   auto body = [&](__m512 v, __m512& s) {
-    const __m512 e = exp512_ps(_mm512_sub_ps(_mm512_setzero_ps(), v));
+    const __m512 e = avx512::exp512_ps(_mm512_sub_ps(_mm512_setzero_ps(), v));
     s = _mm512_div_ps(one, _mm512_add_ps(one, e));
     return _mm512_mul_ps(v, s);
   };
@@ -311,7 +121,7 @@ void swish(const float* x, float* sig, float* y, std::size_t n) {
     _mm512_storeu_ps(y + i, out);
   }
   if (i < n) {
-    const __mmask16 m = head_mask(n - i);
+    const __mmask16 m = avx512::head_mask(n - i);
     __m512 s;
     const __m512 out = body(_mm512_maskz_loadu_ps(m, x + i), s);
     _mm512_mask_storeu_ps(sig + i, m, s);
@@ -319,99 +129,23 @@ void swish(const float* x, float* sig, float* y, std::size_t n) {
   }
 }
 
-void swish_backward(const float* g, const float* x, const float* sig,
-                    float* out, std::size_t n) {
-  // d/dx [x*s(x)] = s * (1 + x * (1 - s))
-  const __m512 one = _mm512_set1_ps(1.0f);
-  std::size_t i = 0;
-  auto body = [&](__m512 vg, __m512 vx, __m512 s) {
-    const __m512 t = _mm512_fmadd_ps(vx, _mm512_sub_ps(one, s), one);
-    return _mm512_mul_ps(vg, _mm512_mul_ps(s, t));
-  };
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(out + i,
-                     body(_mm512_loadu_ps(g + i), _mm512_loadu_ps(x + i),
-                          _mm512_loadu_ps(sig + i)));
-  }
-  if (i < n) {
-    const __mmask16 m = head_mask(n - i);
-    _mm512_mask_storeu_ps(out + i, m,
-                          body(_mm512_maskz_loadu_ps(m, g + i),
-                               _mm512_maskz_loadu_ps(m, x + i),
-                               _mm512_maskz_loadu_ps(m, sig + i)));
-  }
-}
-
-void sigmoid_backward(const float* g, const float* y, float* out,
-                      std::size_t n) {
-  const __m512 one = _mm512_set1_ps(1.0f);
-  std::size_t i = 0;
-  auto body = [&](__m512 vg, __m512 vy) {
-    return _mm512_mul_ps(vg, _mm512_mul_ps(vy, _mm512_sub_ps(one, vy)));
-  };
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(out + i,
-                     body(_mm512_loadu_ps(g + i), _mm512_loadu_ps(y + i)));
-  }
-  if (i < n) {
-    const __mmask16 m = head_mask(n - i);
-    _mm512_mask_storeu_ps(out + i, m,
-                          body(_mm512_maskz_loadu_ps(m, g + i),
-                               _mm512_maskz_loadu_ps(m, y + i)));
-  }
-}
-
-void relu(const float* x, float* y, std::size_t n) {
-  const __m512 zero = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(y + i, _mm512_max_ps(zero, _mm512_loadu_ps(x + i)));
-  }
-  if (i < n) {
-    const __mmask16 m = head_mask(n - i);
-    _mm512_mask_storeu_ps(
-        y + i, m, _mm512_max_ps(zero, _mm512_maskz_loadu_ps(m, x + i)));
-  }
-}
-
-void relu_backward(const float* g, const float* x, float* out, std::size_t n) {
-  const __m512 zero = _mm512_setzero_ps();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __mmask16 pos =
-        _mm512_cmp_ps_mask(_mm512_loadu_ps(x + i), zero, _CMP_GT_OQ);
-    _mm512_storeu_ps(out + i,
-                     _mm512_maskz_mov_ps(pos, _mm512_loadu_ps(g + i)));
-  }
-  if (i < n) {
-    const __mmask16 m = head_mask(n - i);
-    const __mmask16 pos =
-        _mm512_cmp_ps_mask(_mm512_maskz_loadu_ps(m, x + i), zero, _CMP_GT_OQ);
-    _mm512_mask_storeu_ps(
-        out + i, m,
-        _mm512_maskz_mov_ps(pos, _mm512_maskz_loadu_ps(m, g + i)));
-  }
-}
-
-double exp_sub_sum(float* row, std::size_t n, float m) {
+template <>
+void exp_sub<Level::kAvx512>(float* row, std::size_t n, float m) {
   const __m512 vm = _mm512_set1_ps(m);
-  __m512d acc0 = _mm512_setzero_pd(), acc1 = _mm512_setzero_pd();
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    const __m512 e = exp512_ps(_mm512_sub_ps(_mm512_loadu_ps(row + i), vm));
-    _mm512_storeu_ps(row + i, e);
-    accumulate_pd(e, acc0, acc1);
+    _mm512_storeu_ps(row + i, avx512::exp512_ps(_mm512_sub_ps(
+                                  _mm512_loadu_ps(row + i), vm)));
   }
   if (i < n) {
-    const __mmask16 k = head_mask(n - i);
-    const __m512 e =
-        exp512_ps(_mm512_sub_ps(_mm512_maskz_loadu_ps(k, row + i), vm));
-    _mm512_mask_storeu_ps(row + i, k, e);
-    // Zero the dead lanes before accumulating (exp of a dead lane is not 0).
-    accumulate_pd(_mm512_maskz_mov_ps(k, e), acc0, acc1);
+    const __mmask16 k = avx512::head_mask(n - i);
+    const __m512 v = _mm512_maskz_loadu_ps(k, row + i);
+    _mm512_mask_storeu_ps(row + i, k,
+                          avx512::exp512_ps(_mm512_sub_ps(v, vm)));
   }
-  return _mm512_reduce_add_pd(_mm512_add_pd(acc0, acc1));
 }
+
+namespace avx512 {
 
 // ---------------------------------------------------------------------------
 // GEMM: register-blocked 8x32 FMA microkernel over packed panels.
@@ -458,10 +192,9 @@ void micro_8x32(std::int64_t kc, const float* ap, const float* bp, float alpha,
           _mm512_fmadd_ps(va, acc[r][1], _mm512_loadu_ps(crow + 16)));
     }
   } else {
-    const __mmask16 m0 = head_mask(static_cast<std::size_t>(cols));
+    const __mmask16 m0 = head_mask(cols);
     const __mmask16 m1 =
-        cols > 16 ? head_mask(static_cast<std::size_t>(cols - 16))
-                  : static_cast<__mmask16>(0);
+        cols > 16 ? head_mask(cols - 16) : static_cast<__mmask16>(0);
     for (std::int64_t r = 0; r < rows; ++r) {
       float* crow = c + r * ldc;
       _mm512_mask_storeu_ps(
@@ -537,11 +270,7 @@ void pack_b(bool trans_b, std::int64_t k, std::int64_t n, const float* b,
       }
     }
   }
-  if (to_bf16) {
-    // Shared bit-exact rounding kernel (see simd_avx2.cc).
-    avx2::bf16_round_inplace(dst,
-                             static_cast<std::size_t>(n_panels * kNr * k));
-  }
+  if (to_bf16) kernels::bf16_round<Level::kAvx512>(dst, n_panels * kNr * k);
 }
 
 // Same tile contract as avx2::gemm_tile (2D scheduler in gemm.cc): rows
@@ -560,7 +289,10 @@ void gemm_tile(bool trans_a, std::int64_t m0, std::int64_t m1,
       const std::int64_t m_panels = (mc + kMr - 1) / kMr;
       a_panels.resize(static_cast<std::size_t>(m_panels * kMr * kc));
       pack_a_block(trans_a, ic, mc, kb, kc, a, lda, a_panels.data());
-      if (to_bf16) avx2::bf16_round_inplace(a_panels.data(), a_panels.size());
+      if (to_bf16) {
+        kernels::bf16_round<Level::kAvx512>(a_panels.data(),
+                                            std::ssize(a_panels));
+      }
       for (std::int64_t ip = 0; ip < m_panels; ++ip) {
         const std::int64_t rows = std::min<std::int64_t>(kMr, mc - ip * kMr);
         const float* ap = a_panels.data() + ip * kMr * kc;
@@ -575,7 +307,8 @@ void gemm_tile(bool trans_a, std::int64_t m0, std::int64_t m1,
   }
 }
 
-}  // namespace podnet::tensor::simd::avx512
+}  // namespace avx512
+}  // namespace podnet::tensor::simd
 
 // ---------------------------------------------------------------------------
 // Direct convolution kernels (see conv_direct.h). Same loop structure and
@@ -587,11 +320,7 @@ namespace podnet::tensor::conv::avx512 {
 namespace {
 
 namespace sa = podnet::tensor::simd::avx512;
-
-__mmask16 head_mask16(std::int64_t n) {
-  return n >= 16 ? static_cast<__mmask16>(0xffff)
-                 : static_cast<__mmask16>((1u << n) - 1u);
-}
+using sa::head_mask;
 
 }  // namespace
 
@@ -635,7 +364,7 @@ void depthwise_forward_rows(const ConvGeometry& g, const float* x,
         _mm512_storeu_ps(out + c + 16, acc1);
       }
       for (; c < C; c += 16) {
-        const __mmask16 m = head_mask16(C - c);
+        const __mmask16 m = head_mask(C - c);
         __m512 acc = _mm512_setzero_ps();
         for (std::int64_t kh = kh_lo; kh < kh_hi; ++kh) {
           const float* in_base =
@@ -669,7 +398,7 @@ void depthwise_forward_rows(const ConvGeometry& g, const float* x,
       const float* r1 = r0 + g.in_w * C;
       const float* r2 = r1 + g.in_w * C;
       for (std::int64_t c = 0; c < C; c += 16) {
-        const __mmask16 m = head_mask16(C - c);
+        const __mmask16 m = head_mask(C - c);
         __m512 wv[9];
         for (int t = 0; t < 9; ++t) {
           wv[t] = _mm512_maskz_loadu_ps(m, w + t * C + c);
@@ -709,7 +438,7 @@ void depthwise_backward(const ConvGeometry& g, const float* x, const float* w,
   // Channel-block x kernel-row outer loops, as in the AVX2 kernel; the
   // last (partial) channel block runs the same code under an opmask.
   for (std::int64_t c = 0; c < C; c += 16) {
-    const __mmask16 m = head_mask16(C - c);
+    const __mmask16 m = head_mask(C - c);
     for (std::int64_t kh = 0; kh < K; ++kh) {
       __m512 dwacc[7];
       __m512 wv[7];
@@ -777,7 +506,7 @@ void conv2d_direct_rows(const ConvGeometry& g, std::int64_t out_c,
         __mmask16 masks[4];
         __m512 acc[4];
         for (std::int64_t j = 0; j < nvec; ++j) {
-          masks[j] = head_mask16(oc - j * 16);
+          masks[j] = head_mask(oc - j * 16);
           acc[j] = _mm512_setzero_ps();
         }
         for (std::int64_t kh = kh_lo; kh < kh_hi; ++kh) {
@@ -811,8 +540,11 @@ void conv2d_direct_rows(const ConvGeometry& g, std::int64_t out_c,
                 acc[j], _mm512_div_ps(one, _mm512_add_ps(one, e)));
           }
         } else if (epilogue == Epilogue::kBiasRelu) {
+          // acc <= 0 ? 0 : acc, as kernels::relu: NaN stays, -0 -> +0.
           for (std::int64_t j = 0; j < nvec; ++j) {
-            acc[j] = _mm512_max_ps(acc[j], _mm512_setzero_ps());
+            acc[j] = _mm512_maskz_mov_ps(
+                _mm512_cmp_ps_mask(acc[j], _mm512_setzero_ps(), _CMP_NLE_UQ),
+                acc[j]);
           }
         }
         for (std::int64_t j = 0; j < nvec; ++j) {
@@ -825,8 +557,7 @@ void conv2d_direct_rows(const ConvGeometry& g, std::int64_t out_c,
 
 }  // namespace podnet::tensor::conv::avx512
 
-// Per-channel kernels (channel_ops.h): the shared bodies, built with this
-// TU's flags.
-PODNET_CHANNEL_KERNELS(template, ::podnet::tensor::simd::Level::kAvx512)
+// The shared vector kernels (vector_kernels.h), built with this TU's flags.
+PODNET_VECTOR_KERNELS(template, ::podnet::tensor::simd::Level::kAvx512)
 
 #endif  // PODNET_HAVE_AVX512

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -276,6 +277,50 @@ TEST(DirectConvTest, FusedSwishEpilogueMatchesReferenceAcrossLevels) {
       const double tol = 2e-6 * (1.0 + std::abs(a)) +
                          2.0 * taps * kEps * mass[i];
       ASSERT_NEAR(y.data()[i], expect, tol)
+          << "level " << simd::level_name(request) << " at " << i;
+    }
+  }
+}
+
+TEST(DirectConvTest, FusedReluEpilogueKeepsNaNAcrossLevels) {
+  // relu(a) = a <= 0 ? 0 : a at every level, as tensor::relu: a NaN
+  // pre-activation (here from a NaN bias, in a vector lane and in the
+  // channel tail) must reach the output, not be clamped to 0.
+  namespace conv = tensor::conv;
+  namespace simd = tensor::simd;
+  constexpr double kEps = std::numeric_limits<float>::epsilon();
+  const Index batch = 1, hw = 5, in_c = 3, out_c = 19, kernel = 3;
+  const auto g = tensor::ConvGeometry::same(batch, hw, hw, in_c, kernel, 1);
+  Rng rng(47);
+  Tensor x = Tensor::randn(Shape{batch, hw, hw, in_c}, rng);
+  Tensor w = Tensor::randn(Shape{kernel, kernel, in_c, out_c}, rng, 0.2f);
+  Tensor b = Tensor::randn(Shape{out_c}, rng, 0.1f);
+  const Index nan_channels[] = {3, 17};
+  for (const Index c : nan_channels) {
+    b.data()[c] = std::numeric_limits<float>::quiet_NaN();
+  }
+
+  std::vector<double> ref, mass;
+  naive_conv_ref(g, out_c, x.data(), w.data(), b.data(), ref, mass);
+  const double taps = static_cast<double>(kernel * kernel * in_c + 8);
+
+  for (const simd::Level request :
+       {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+    simd::ScopedLevel lvl(request);
+    Tensor y = Tensor::uninitialized(Shape{batch, g.out_h, g.out_w, out_c});
+    conv::conv2d_direct(g, out_c, x.data(), w.data(), b.data(),
+                        conv::Epilogue::kBiasRelu, y.data());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      const Index c = static_cast<Index>(i) % out_c;
+      if (c == nan_channels[0] || c == nan_channels[1]) {
+        ASSERT_TRUE(std::isnan(y.data()[i]))
+            << "level " << simd::level_name(request) << " at " << i;
+        continue;
+      }
+      ASSERT_NEAR(y.data()[i], std::max(ref[i], 0.0),
+                  taps * kEps * mass[i] + 1e-30)
+          << "level " << simd::level_name(request) << " at " << i;
+      ASSERT_FALSE(std::signbit(y.data()[i]))
           << "level " << simd::level_name(request) << " at " << i;
     }
   }

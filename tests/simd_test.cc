@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -28,6 +29,16 @@ namespace {
 // clamps down (that fallback is itself under test below), so the effective
 // level is min(request, detected).
 const simd::Level kSimdLevels[] = {simd::Level::kAvx2, simd::Level::kAvx512};
+
+// Inputs a vector kernel can handle differently per tier or buffer
+// position.
+const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                          0.0f,
+                          -0.0f,
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::denorm_min(),
+                          -std::numeric_limits<float>::denorm_min()};
 
 simd::Level effective(simd::Level request) {
   return std::min(request, simd::detected_level());
@@ -460,6 +471,183 @@ TEST_F(SimdOpsParityTest, ActivationsAndSoftmax) {
     for (std::size_t i = 0; i < sm0.size(); ++i) {
       ASSERT_NEAR(sm0[i], sm1[i], 5e-6)
           << "level " << simd::level_name(request) << " softmax at " << i;
+    }
+  }
+}
+
+TEST_F(SimdOpsParityTest, ReluSpecialValuesBitExactAtEveryLevel) {
+  // relu(x) = x <= 0 ? 0 : x at every level and buffer position: NaN
+  // passes through (NaN-poisoned scratch must reach the finite checks) and
+  // -0 becomes +0. kN = 64 * 16 + 13, so index 3 + 16k is a vector lane at
+  // every width and the last indices are the vector tail.
+  constexpr std::size_t kCount = std::size(kSpecial);
+  std::vector<float> in = x;
+  for (std::size_t k = 0; k < kCount; ++k) {
+    in[3 + 16 * k] = kSpecial[k];
+    in[kN - 1 - k] = kSpecial[k];
+  }
+  auto run = [&](simd::Level lvl) {
+    simd::ScopedLevel s(lvl);
+    std::vector<float> out(2 * kN);
+    relu({in.data(), kN}, {out.data(), kN});
+    relu_backward({y.data(), kN}, {in.data(), kN}, {out.data() + kN, kN});
+    return out;
+  };
+  const std::vector<float> ref = run(simd::Level::kScalar);
+  for (std::size_t k = 0; k < kCount; ++k) {
+    for (const std::size_t at : {3 + 16 * k, kN - 1 - k}) {
+      const float v = ref[at];
+      if (std::isnan(kSpecial[k])) {
+        EXPECT_TRUE(std::isnan(v)) << "at " << at;
+      } else if (kSpecial[k] <= 0.f) {
+        EXPECT_EQ(0.f, v) << "at " << at;
+        EXPECT_FALSE(std::signbit(v)) << "at " << at;
+      } else {
+        EXPECT_EQ(kSpecial[k], v) << "at " << at;
+      }
+    }
+  }
+  for (const simd::Level request : kSimdLevels) {
+    const std::vector<float> got = run(request);
+    EXPECT_EQ(0, std::memcmp(ref.data(), got.data(),
+                             ref.size() * sizeof(float)))
+        << "level " << simd::level_name(request);
+  }
+}
+
+TEST_F(SimdOpsParityTest, SigmoidAndActivationBackwardsWithinUlps) {
+  // sigmoid tracks std::exp through the polynomial exp (as swish does).
+  // swish_backward computes g * (s * fma(x, 1 - s, 1)) and sigmoid_backward
+  // g * (y * (1 - y)): a few roundings of the terms away from the scalar
+  // loops' grouping.
+  constexpr double kEps = std::numeric_limits<float>::epsilon();
+  std::vector<float> s(kN);  // sigmoid outputs lie in (0, 1)
+  Rng rng(29);
+  for (auto& v : s) v = rng.uniform(0.f, 1.f);
+  auto run = [&](simd::Level lvl) {
+    simd::ScopedLevel scoped(lvl);
+    std::vector<float> out(3 * kN);
+    sigmoid({x.data(), kN}, {out.data(), kN});
+    swish_backward({y.data(), kN}, {x.data(), kN}, {s.data(), kN},
+                   {out.data() + kN, kN});
+    sigmoid_backward({y.data(), kN}, {s.data(), kN},
+                     {out.data() + 2 * kN, kN});
+    return out;
+  };
+  const std::vector<float> ref = run(simd::Level::kScalar);
+  for (const simd::Level request : kSimdLevels) {
+    const std::vector<float> got = run(request);
+    for (std::size_t i = 0; i < kN; ++i) {
+      const double g = std::abs(static_cast<double>(y[i]));
+      const double si = s[i];
+      ASSERT_NEAR(ref[i], got[i], 2e-6)
+          << "level " << simd::level_name(request) << " sigmoid at " << i;
+      const double swish_tol =
+          4.0 * kEps * g * si * (1.0 + std::abs(x[i] * (1.0 - si))) + 1e-30;
+      ASSERT_NEAR(ref[kN + i], got[kN + i], swish_tol)
+          << "level " << simd::level_name(request) << " swish_backward at "
+          << i;
+      const double sigmoid_tol = 4.0 * kEps * g * si * (1.0 - si) + 1e-30;
+      ASSERT_NEAR(ref[2 * kN + i], got[2 * kN + i], sigmoid_tol)
+          << "level " << simd::level_name(request) << " sigmoid_backward at "
+          << i;
+    }
+  }
+}
+
+TEST(SimdCrossTierTest, Avx2AndAvx512AreBitwiseEqual) {
+  // The vector kernels' source fixes every rounding (FMA placement, 16
+  // reduction lanes and their fold), not the vector width, so every ops.h
+  // kernel and the bf16 round give the same bits at both tiers, on clean
+  // inputs and on inputs laced with NaN, +-0, +-inf and denormals.
+  if (simd::detected_level() < simd::Level::kAvx512) {
+    GTEST_SKIP() << "needs an AVX-512 host to compare against AVX2";
+  }
+  auto outputs = [&](simd::Level lvl, std::size_t n, bool laced) {
+    simd::ScopedLevel scoped(lvl);
+    Rng rng(100 + n);
+    std::vector<float> a(n), b(n), c(n), s(n);
+    for (auto& v : a) v = rng.normal() * 3.f;
+    for (auto& v : b) v = rng.normal();
+    for (auto& v : c) v = rng.normal() * 0.01f;
+    for (auto& v : s) v = rng.uniform(0.f, 1.f);
+    if (laced) {
+      for (std::size_t i = 0; i < n; i += 5) {
+        a[i] = kSpecial[(i / 5) % std::size(kSpecial)];
+      }
+    }
+    std::vector<unsigned char> bytes;
+    auto emit = [&](const void* p, std::size_t size) {
+      const auto* q = static_cast<const unsigned char*>(p);
+      bytes.insert(bytes.end(), q, q + size);
+    };
+    auto emit_vec = [&](const std::vector<float>& v) {
+      emit(v.data(), v.size() * sizeof(float));
+    };
+    auto emit_val = [&](auto v) { emit(&v, sizeof(v)); };
+    std::vector<float> t = b;
+    axpy(1.7f, a, t);
+    emit_vec(t);
+    t = b;
+    axpby(0.7f, a, -1.3f, t);
+    emit_vec(t);
+    t = a;
+    scale(0.37f, t);
+    emit_vec(t);
+    scale_copy(-0.3f, a, t);
+    emit_vec(t);
+    t = b;
+    add_inplace(a, t);
+    emit_vec(t);
+    t = b;
+    mul_inplace(a, t);
+    emit_vec(t);
+    t = c;
+    fma_inplace(a, b, t);
+    emit_vec(t);
+    emit_val(sum(a));
+    emit_val(sum_squares(a));
+    emit_val(l2_norm(a));
+    emit_val(dot(a, b));
+    emit_val(max_value(a));
+    emit_val(all_finite(a));
+    emit_val(allclose(a, b));
+    sigmoid(a, t);
+    emit_vec(t);
+    std::vector<float> sig(n);
+    swish(a, sig, t);
+    emit_vec(sig);
+    emit_vec(t);
+    swish_backward(b, a, s, t);
+    emit_vec(t);
+    sigmoid_backward(b, s, t);
+    emit_vec(t);
+    relu(a, t);
+    emit_vec(t);
+    relu_backward(b, a, t);
+    emit_vec(t);
+    const std::int64_t rows = 3, cols = static_cast<std::int64_t>(n);
+    std::vector<float> m(3 * n);
+    for (std::size_t i = 0; i < m.size(); ++i) {
+      m[i] = a[i % n] + 0.5f * static_cast<float>(i / n);
+    }
+    softmax_rows(m.data(), rows, cols);
+    emit_vec(m);
+    std::vector<std::int64_t> arg(rows);
+    argmax_rows(m.data(), rows, cols, arg.data());
+    emit(arg.data(), arg.size() * sizeof(std::int64_t));
+    t = a;
+    bf16_round_inplace({t.data(), n});
+    emit_vec(t);
+    return bytes;
+  };
+  for (const bool laced : {false, true}) {
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, std::size_t{15}, std::size_t{16},
+          std::size_t{17}, std::size_t{33}, std::size_t{1037}}) {
+      EXPECT_EQ(outputs(simd::Level::kAvx2, n, laced),
+                outputs(simd::Level::kAvx512, n, laced))
+          << "n=" << n << (laced ? " laced" : " clean");
     }
   }
 }
