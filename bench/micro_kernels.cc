@@ -14,7 +14,9 @@
 //   --diff PATH     compares this run's scalar-vs-SIMD speedups against a
 //                   committed trajectory (BENCH_kernels.json) and fails on
 //                   a >15% speedup regression. Speedup ratios, not raw
-//                   GFLOP/s, so the gate is portable across host classes;
+//                   GFLOP/s, so the gate is portable across host classes.
+//                   Exits 2 before timing when a committed row was
+//                   recorded at another thread count than this run's;
 //   --threads N     sets PODNET_THREADS=N before the kernel pool spins up
 //                   (total participating threads; lets CI record 1-thread
 //                   and N-thread trajectories from separate processes).
@@ -311,6 +313,50 @@ std::vector<CmpKernel> make_cmp_kernels() {
   add_se(7, 672, "7x7x672");
   add_se(7, 1152, "7x7x1152");
 
+  // BN training at nano's channel counts (the 3x3-pixel stage's 128 and
+  // the 12x12 stage's 32): statistics (sum and sum of squares), the fused
+  // normalize + affine, and backward (the two sums, then dx). 4096 floats
+  // per tensor, so a row's three tensors stay in L1: from L2 the normalize
+  // (one load and two stores per element) runs at about the same rate at
+  // every tier, and at 32768 floats perf_smoke failed it under a
+  // concurrent ctest. One flop per input element and pass.
+  auto add_bn = [&](std::int64_t rows, std::int64_t c,
+                    const std::string& tag) {
+    Rng rng(19);
+    const Shape shape{rows, c};
+    auto x = std::make_shared<Tensor>(Tensor::randn(shape, rng));
+    auto dy = std::make_shared<Tensor>(Tensor::randn(shape, rng));
+    auto pc = std::make_shared<Tensor>(Tensor::randn(Shape{4, c}, rng));
+    auto out = std::make_shared<Tensor>(Shape{2, rows, c});
+    auto sums = std::make_shared<std::vector<float>>(2 * c);
+    const double elems = static_cast<double>(rows * c);
+    ks.push_back({"bn_stats_" + tag, 2.0 * elems, [=] {
+                    std::fill(sums->begin(), sums->end(), 0.f);
+                    tensor::column_sums(x->data(), x->data(), rows, c,
+                                        sums->data(), sums->data() + c);
+                    benchmark::DoNotOptimize(sums->data());
+                  }});
+    ks.push_back({"bn_normalize_" + tag, 2.0 * elems, [=] {
+                    const float* p = pc->data();
+                    tensor::bn_normalize(x->data(), p, p + c, p + 2 * c,
+                                         p + 3 * c, rows, c, out->data(),
+                                         out->data() + rows * c);
+                    benchmark::DoNotOptimize(out->data());
+                  }});
+    ks.push_back({"bn_backward_" + tag, 4.0 * elems, [=] {
+                    std::fill(sums->begin(), sums->end(), 0.f);
+                    tensor::column_sums(dy->data(), x->data(), rows, c,
+                                        sums->data(), sums->data() + c);
+                    const float* p = pc->data();
+                    tensor::bn_backward_dx(dy->data(), x->data(), p, p + c,
+                                           sums->data() + c, 1.f / rows, rows,
+                                           c, out->data());
+                    benchmark::DoNotOptimize(out->data());
+                  }});
+  };
+  add_bn(32, 128, "32x128");
+  add_bn(128, 32, "128x32");
+
   const std::size_t kVec = std::size_t{1} << 14;  // 64 KiB: L1/L2 resident
   Rng vrng(14);
   auto vx = std::make_shared<std::vector<float>>(kVec);
@@ -559,6 +605,49 @@ std::string json_string_field(const std::string& line,
   return line.substr(p + pat.size(), q - (p + pat.size()));
 }
 
+CmpResult measure_one(const std::string& name) {
+  for (const CmpKernel& k : make_cmp_kernels()) {
+    if (k.name == name) return measure(k);
+  }
+  return {};
+}
+
+struct Committed {
+  double speedup = 0;
+  double avx512_speedup = 0;
+};
+
+// The committed trajectory's kernel_bench rows by name. Fails (nonzero,
+// naming both counts) when a row was recorded at another thread count than
+// this process runs: the GEMM rows' speedups move with it, so the
+// comparison would report the count as a regression.
+int read_committed(const std::string& path,
+                   std::map<std::string, Committed>& committed) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "--diff: cannot open %s\n", path.c_str());
+    return 1;
+  }
+  const int threads = tensor::ThreadPool::global().worker_count() + 1;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (json_string_field(line, "kind") != "kernel_bench") continue;
+    const std::string name = json_string_field(line, "name");
+    if (name.empty()) continue;
+    const double recorded = json_number_field(line, "threads");
+    if (recorded > 0 && recorded != threads) {
+      std::fprintf(stderr,
+                   "bench diff: %s row %s was recorded at threads=%g, this "
+                   "run uses threads=%d; rerun with --threads %g\n",
+                   path.c_str(), name.c_str(), recorded, threads, recorded);
+      return 2;
+    }
+    committed[name] = {json_number_field(line, "speedup"),
+                       json_number_field(line, "avx512_speedup")};
+  }
+  return 0;
+}
+
 // --diff: compare this run's scalar-vs-SIMD *speedups* against the
 // committed trajectory. Ratios, not absolute GFLOP/s: the committed file
 // was measured on one host class and raw throughput is not portable, but
@@ -568,35 +657,12 @@ std::string json_string_field(const std::string& line,
 // is re-timed (up to twice, keeping its best speedups) before the gate
 // declares a regression: a loaded host skews a single scalar-vs-SIMD
 // ratio far more than 15%, but only noise recovers on retry.
-CmpResult measure_one(const std::string& name) {
-  for (const CmpKernel& k : make_cmp_kernels()) {
-    if (k.name == name) return measure(k);
-  }
-  return {};
-}
-
-int run_diff(const std::vector<CmpResult>& results, const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "--diff: cannot open %s\n", path.c_str());
-    return 1;
-  }
+int run_diff(const std::vector<CmpResult>& results,
+             const std::map<std::string, Committed>& committed,
+             const std::string& path) {
   if (simd::detected_level() == simd::Level::kScalar) {
     std::printf("bench diff: no SIMD level on this host; nothing to gate.\n");
     return 0;
-  }
-  struct Committed {
-    double speedup = 0;
-    double avx512_speedup = 0;
-  };
-  std::map<std::string, Committed> committed;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (json_string_field(line, "kind") != "kernel_bench") continue;
-    const std::string name = json_string_field(line, "name");
-    if (name.empty()) continue;
-    committed[name] = {json_number_field(line, "speedup"),
-                       json_number_field(line, "avx512_speedup")};
   }
   constexpr double kMargin = 0.85;  // >15% speedup regression fails
   int failures = 0, compared = 0;
@@ -684,6 +750,11 @@ int main(int argc, char** argv) {
   }
 
   if (smoke || !json_path.empty() || !diff_path.empty()) {
+    std::map<std::string, Committed> committed;
+    if (!diff_path.empty()) {
+      const int read_rc = read_committed(diff_path, committed);
+      if (read_rc != 0) return read_rc;
+    }
     const std::vector<CmpResult> results = run_comparisons();
     int rc = 0;
     if (!json_path.empty()) {
@@ -691,7 +762,7 @@ int main(int argc, char** argv) {
       if (!smoke) print_table(results);
     }
     if (!diff_path.empty()) {
-      const int diff_rc = run_diff(results, diff_path);
+      const int diff_rc = run_diff(results, committed, diff_path);
       if (rc == 0) rc = diff_rc;
     }
     if (smoke) {

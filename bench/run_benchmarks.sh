@@ -12,6 +12,8 @@
 # against the committed baseline, exiting nonzero when any kernel's speedup
 # regressed by more than 15%. Ratios rather than raw GFLOP/s keep the gate
 # meaningful across host classes; absolute throughput is not portable.
+# Both modes time on one kernel thread: the GEMM rows' speedups depend on
+# the thread count, and the committed rows were recorded at threads=1.
 set -eu
 
 CHECK=0
@@ -35,8 +37,8 @@ if [ "$CHECK" = 1 ]; then
     echo "error: baseline $OUT not found" >&2
     exit 1
   fi
-  "$BIN" --diff "$OUT"
+  "$BIN" --threads 1 --diff "$OUT"
 else
-  "$BIN" --json "$OUT"
+  "$BIN" --threads 1 --json "$OUT"
   echo "benchmark trajectory written to $OUT"
 fi

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <numeric>
 
+#include "tensor/thread_pool.h"
+
 namespace podnet::data {
 
 using tensor::Shape;
@@ -49,18 +51,21 @@ Batch TrainLoader::batch(Index epoch, Index step) {
   assert(base + b <= dataset_->size(Split::kTrain));
 
   Batch out;
-  out.images = Tensor(Shape{b, res, res, ch});
+  out.images = Tensor::uninitialized(Shape{b, res, res, ch});
   out.labels.resize(static_cast<std::size_t>(b));
   const Index elems = dataset_->sample_elems();
-  for (Index i = 0; i < b; ++i) {
-    const Index idx = perm[static_cast<std::size_t>(base + i)];
-    dataset_->render(Split::kTrain, idx,
-                     static_cast<std::uint64_t>(epoch),
-                     {out.images.data() + i * elems,
-                      static_cast<std::size_t>(elems)});
-    out.labels[static_cast<std::size_t>(i)] =
-        dataset_->label_of(Split::kTrain, idx);
-  }
+  tensor::parallel_grains(
+      tensor::ThreadPool::global(), b, [&](Index i0, Index i1) {
+        for (Index i = i0; i < i1; ++i) {
+          const Index idx = perm[static_cast<std::size_t>(base + i)];
+          dataset_->render(Split::kTrain, idx,
+                           static_cast<std::uint64_t>(epoch),
+                           {out.images.data() + i * elems,
+                            static_cast<std::size_t>(elems)});
+          out.labels[static_cast<std::size_t>(i)] =
+              dataset_->label_of(Split::kTrain, idx);
+        }
+      });
   return out;
 }
 
@@ -85,17 +90,20 @@ Batch EvalLoader::batch(Index i) const {
   Batch out;
   if (begin >= end) return out;
   const Index b = end - begin;
-  out.images = Tensor(Shape{b, res, res, ch});
+  out.images = Tensor::uninitialized(Shape{b, res, res, ch});
   out.labels.resize(static_cast<std::size_t>(b));
   const Index elems = dataset_->sample_elems();
-  for (Index k = 0; k < b; ++k) {
-    const Index idx = shard_[static_cast<std::size_t>(begin + k)];
-    dataset_->render(Split::kEval, idx, 0,
-                     {out.images.data() + k * elems,
-                      static_cast<std::size_t>(elems)});
-    out.labels[static_cast<std::size_t>(k)] =
-        dataset_->label_of(Split::kEval, idx);
-  }
+  tensor::parallel_grains(
+      tensor::ThreadPool::global(), b, [&](Index k0, Index k1) {
+        for (Index k = k0; k < k1; ++k) {
+          const Index idx = shard_[static_cast<std::size_t>(begin + k)];
+          dataset_->render(Split::kEval, idx, 0,
+                           {out.images.data() + k * elems,
+                            static_cast<std::size_t>(elems)});
+          out.labels[static_cast<std::size_t>(k)] =
+              dataset_->label_of(Split::kEval, idx);
+        }
+      });
   return out;
 }
 

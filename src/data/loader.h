@@ -8,6 +8,10 @@
 // Evaluation: the eval split is sharded round-robin across replicas, which
 // *is* the paper's distributed evaluation (Sec 3.3) — no dedicated
 // evaluator; every core scores a slice and metrics are all-reduced.
+//
+// A batch's images render in parallel over the kernel pool. Each image
+// draws from its own RNG stream and writes its own slice, so a batch is
+// bitwise the same at any thread count.
 #pragma once
 
 #include <vector>

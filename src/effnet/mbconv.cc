@@ -72,11 +72,7 @@ Tensor MBConvBlock::backward(const Tensor& grad_out) {
   if (expand_conv_) {
     g = expand_conv_->backward(bn0_->backward(swish0_->backward(g)));
   }
-  if (has_residual_) {
-    const float* skip = grad_out.data();
-    float* gd = g.data();
-    for (Index i = 0; i < g.numel(); ++i) gd[i] += skip[i];
-  }
+  if (has_residual_) tensor::add(g.span(), grad_out.span(), g.span());
   return g;
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "ir/builder.h"
+#include "tensor/channel_ops.h"
 #include "tensor/ops.h"
 
 namespace podnet::nn {
@@ -10,9 +11,9 @@ namespace podnet::nn {
 float sigmoid_scalar(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 Tensor Swish::forward(const Tensor& x, bool training) {
-  Tensor y(x.shape());
-  Tensor sig(x.shape());
-  tensor::swish(x.span(), sig.span(), y.span());
+  Tensor y = Tensor::uninitialized(x.shape());
+  Tensor sig = Tensor::uninitialized(x.shape());
+  tensor::parallel_swish(x.span(), sig.span(), y.span());
   if (training) {
     x_ = x;
     sig_ = std::move(sig);
@@ -22,8 +23,9 @@ Tensor Swish::forward(const Tensor& x, bool training) {
 
 Tensor Swish::backward(const Tensor& grad_out) {
   // d/dx [x*s(x)] = s(x) * (1 + x * (1 - s(x)))
-  Tensor gx(grad_out.shape());
-  tensor::swish_backward(grad_out.span(), x_.span(), sig_.span(), gx.span());
+  Tensor gx = Tensor::uninitialized(grad_out.shape());
+  tensor::parallel_swish_backward(grad_out.span(), x_.span(), sig_.span(),
+                                  gx.span());
   return gx;
 }
 

@@ -7,6 +7,7 @@
 
 #include "ir/builder.h"
 #include "tensor/channel_ops.h"
+#include "tensor/ops.h"
 
 namespace podnet::nn {
 
@@ -43,13 +44,7 @@ Tensor BatchNorm::forward(const Tensor& x, bool training) {
   // Per-channel sum / sum-of-squares over the local batch, then (optionally)
   // over the replica subgroup. Layout: [sum(C), sumsq(C), count].
   std::vector<float> stats(static_cast<std::size_t>(2 * C + 1), 0.f);
-  for (Index r = 0; r < rows; ++r) {
-    for (Index c = 0; c < C; ++c) {
-      const float v = xd[r * C + c];
-      stats[c] += v;
-      stats[C + c] += v * v;
-    }
-  }
+  tensor::column_sums(xd, xd, rows, C, stats.data(), stats.data() + C);
   stats[static_cast<std::size_t>(2 * C)] = static_cast<float>(rows);
   if (sync_ != nullptr) sync_->allreduce_sum(stats);
   const double m = stats[static_cast<std::size_t>(2 * C)];
@@ -69,57 +64,42 @@ Tensor BatchNorm::forward(const Tensor& x, bool training) {
                          (1.f - momentum_) * static_cast<float>(var);
   }
 
-  xhat_ = Tensor(x.shape());
-  Tensor y(x.shape());
-  float* xh = xhat_.data();
-  float* yd = y.data();
-  const float* g = gamma_.value.data();
-  const float* b = beta_.value.data();
-  for (Index r = 0; r < rows; ++r) {
-    for (Index c = 0; c < C; ++c) {
-      const float h = (xd[r * C + c] - mean.at(c)) * inv_std_.at(c);
-      xh[r * C + c] = h;
-      yd[r * C + c] = g[c] * h + b[c];
-    }
-  }
+  xhat_ = Tensor::uninitialized(x.shape());
+  Tensor y = Tensor::uninitialized(x.shape());
+  tensor::bn_normalize(xd, mean.data(), inv_std_.data(), gamma_.value.data(),
+                       beta_.value.data(), rows, C, xhat_.data(), y.data());
   return y;
 }
 
 Tensor BatchNorm::backward(const Tensor& grad_out) {
   const Index C = channels_;
   const Index rows = grad_out.numel() / C;
-  const float* gy = grad_out.data();
-  const float* xh = xhat_.data();
+  const std::size_t n = static_cast<std::size_t>(C);
 
-  // Local reductions; dgamma/dbeta stay local (the trainer's gradient
-  // all-reduce completes them), but dx needs subgroup totals because the
-  // normalization statistics were computed over the subgroup.
-  std::vector<float> sums(static_cast<std::size_t>(2 * C), 0.f);
-  for (Index r = 0; r < rows; ++r) {
-    for (Index c = 0; c < C; ++c) {
-      sums[c] += gy[r * C + c];                    // sum(dy)
-      sums[C + c] += gy[r * C + c] * xh[r * C + c];  // sum(dy * xhat)
-    }
-  }
-  float* dgamma = gamma_.grad.data();
-  float* dbeta = beta_.grad.data();
-  for (Index c = 0; c < C; ++c) {
-    dbeta[c] += sums[c];
-    dgamma[c] += sums[C + c];
-  }
-  if (sync_ != nullptr) sync_->allreduce_sum(sums);
+  // Local reductions [sum(dy), sum(dy * xhat)]; dgamma/dbeta stay local
+  // (the trainer's gradient all-reduce completes them), but dx needs
+  // subgroup totals because the normalization statistics were computed over
+  // the subgroup. The tail [k, a] holds dx's per-channel factors.
+  std::vector<float> sums(4 * n, 0.f);
+  float* sum_dy = sums.data();
+  float* sum_dy_xhat = sum_dy + C;
+  tensor::column_sums(grad_out.data(), xhat_.data(), rows, C, sum_dy,
+                      sum_dy_xhat);
+  tensor::add_inplace({sum_dy, n}, beta_.grad.span());
+  tensor::add_inplace({sum_dy_xhat, n}, gamma_.grad.span());
+  if (sync_ != nullptr) sync_->allreduce_sum({sums.data(), 2 * n});
 
   const float inv_m = static_cast<float>(1.0 / group_count_);
-  Tensor dx(grad_out.shape());
-  float* dxd = dx.data();
+  float* k = sum_dy + 2 * C;
+  float* a = sum_dy + 3 * C;
   const float* g = gamma_.value.data();
-  for (Index r = 0; r < rows; ++r) {
-    for (Index c = 0; c < C; ++c) {
-      const float term = gy[r * C + c] - inv_m * sums[c] -
-                         xh[r * C + c] * inv_m * sums[C + c];
-      dxd[r * C + c] = g[c] * inv_std_.at(c) * term;
-    }
+  for (Index c = 0; c < C; ++c) {
+    k[c] = g[c] * inv_std_.at(c);
+    a[c] = inv_m * sum_dy[c];
   }
+  Tensor dx = Tensor::uninitialized(grad_out.shape());
+  tensor::bn_backward_dx(grad_out.data(), xhat_.data(), k, a, sum_dy_xhat,
+                         inv_m, rows, C, dx.data());
   xhat_ = Tensor();
   return dx;
 }

@@ -140,11 +140,8 @@ Tensor Conv2D::backward(const Tensor& grad_out) {
                           grad_out.data(), 1.f, weight_.grad.data(),
                           precision_);
   if (use_bias_) {
-    float* db = bias_->grad.data();
-    const float* g = grad_out.data();
-    for (Index r = 0; r < m; ++r) {
-      for (Index c = 0; c < out_c_; ++c) db[c] += g[r * out_c_ + c];
-    }
+    tensor::column_sums(grad_out.data(), nullptr, m, out_c_,
+                        bias_->grad.data());
   }
 
   if (kernel_ == 1 && stride_ == 1) {

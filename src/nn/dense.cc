@@ -42,11 +42,7 @@ Tensor Dense::backward(const Tensor& grad_out) {
   tensor::gemm_contiguous(true, false, in_, out_, n, 1.f, x_.data(),
                           grad_out.data(), 1.f, weight_.grad.data());
   if (use_bias_) {
-    float* db = bias_->grad.data();
-    const float* g = grad_out.data();
-    for (Index r = 0; r < n; ++r) {
-      for (Index c = 0; c < out_; ++c) db[c] += g[r * out_ + c];
-    }
+    tensor::column_sums(grad_out.data(), nullptr, n, out_, bias_->grad.data());
   }
   // dX[n, in] = dY[n, out] * W^T[out, in]
   Tensor dx(Shape{n, in_});

@@ -4,6 +4,7 @@
 
 #include "ir/builder.h"
 #include "tensor/channel_ops.h"
+#include "tensor/ops.h"
 
 namespace podnet::nn {
 
@@ -21,17 +22,12 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
   const Index N = in_shape_[0], H = in_shape_[1], W = in_shape_[2],
               C = in_shape_[3];
   assert(grad_out.shape() == Shape({N, C}));
-  Tensor dx(in_shape_);
-  const float inv = 1.0f / static_cast<float>(H * W);
-  const float* g = grad_out.data();
-  float* dxd = dx.data();
-  for (Index n = 0; n < N; ++n) {
-    const float* grow = g + n * C;
-    for (Index p = 0; p < H * W; ++p) {
-      float* px = dxd + (n * H * W + p) * C;
-      for (Index c = 0; c < C; ++c) px[c] = grow[c] * inv;
-    }
-  }
+  Tensor share = Tensor::uninitialized(grad_out.shape());
+  tensor::scale_copy(1.0f / static_cast<float>(H * W), grad_out.span(),
+                     share.span());
+  Tensor dx = Tensor::uninitialized(in_shape_);
+  tensor::channel_scale_shift(nullptr, nullptr, share.data(), N, H * W, C,
+                              dx.data());
   return dx;
 }
 

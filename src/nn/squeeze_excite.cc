@@ -4,6 +4,7 @@
 
 #include "ir/builder.h"
 #include "tensor/channel_ops.h"
+#include "tensor/ops.h"
 
 namespace podnet::nn {
 
@@ -41,32 +42,19 @@ Tensor SqueezeExcite::backward(const Tensor& grad_out) {
               C = channels_;
   assert(grad_out.shape() == x_.shape());
 
-  // Direct path: dX1 = dY * gate; gate path: dGate = sum_hw dY * X.
-  Tensor dx(x_.shape());
-  Tensor dgate(Shape{N, C});
-  const float* g = grad_out.data();
-  const float* xd = x_.data();
-  const float* gd = gate_.data();
-  float* dxd = dx.data();
-  float* dgd = dgate.data();
-  for (Index n = 0; n < N; ++n) {
-    const float* grow = gd + n * C;
-    float* dgrow = dgd + n * C;
-    for (Index p = 0; p < H * W; ++p) {
-      const Index off = (n * H * W + p) * C;
-      for (Index c = 0; c < C; ++c) {
-        dxd[off + c] = g[off + c] * grow[c];
-        dgrow[c] += g[off + c] * xd[off + c];
-      }
-    }
-  }
-
-  // Through the bottleneck MLP and the squeeze.
+  // Gate path: dGate = sum_hw dY * X, through the bottleneck MLP to the
+  // squeezed input's gradient dSq.
+  Tensor dgate = Tensor::uninitialized(Shape{N, C});
+  tensor::channel_dot(grad_out.data(), x_.data(), N, H * W, C, dgate.data());
   Tensor dsq = reduce_.backward(
       swish_.backward(expand_.backward(sigmoid_.backward(dgate))));
-  Tensor dx2 = gap_.backward(dsq);
-  const float* dx2d = dx2.data();
-  for (Index i = 0; i < dx.numel(); ++i) dxd[i] += dx2d[i];
+
+  // Direct path plus the squeeze's (pooling) backward in one pass:
+  // dX = dY * gate + dSq / (H * W).
+  tensor::scale(1.0f / static_cast<float>(H * W), dsq.span());
+  Tensor dx = Tensor::uninitialized(x_.shape());
+  tensor::channel_scale_shift(grad_out.data(), gate_.data(), dsq.data(), N,
+                              H * W, C, dx.data());
 
   x_ = Tensor();
   gate_ = Tensor();

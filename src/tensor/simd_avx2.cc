@@ -29,8 +29,10 @@ namespace avx2 {
 // ---------------------------------------------------------------------------
 // expf — Cephes-style polynomial, the standard AVX port. Max error vs
 // std::expf is ~1-2 ulp over the clamped range; inputs outside
-// [-88.38, 88.38] saturate to the boundary value (finite). The conv::avx2
-// kernels below share it for the fused swish epilogue.
+// [-88.38, 88.38] saturate to the boundary value (finite). A NaN stays
+// NaN: min/max return their second operand when either is NaN, so x goes
+// last in both. The conv::avx2 kernels below share it for the fused swish
+// epilogue.
 // ---------------------------------------------------------------------------
 
 __m256 exp256_ps(__m256 x) {
@@ -47,7 +49,7 @@ __m256 exp256_ps(__m256 x) {
   const __m256 p5 = _mm256_set1_ps(5.0000001201e-1f);
   const __m256 one = _mm256_set1_ps(1.0f);
 
-  x = _mm256_max_ps(_mm256_min_ps(x, hi), lo);
+  x = _mm256_max_ps(lo, _mm256_min_ps(hi, x));
 
   // n = round(x / ln2); x -= n * ln2 (split constant for accuracy).
   __m256 fx = _mm256_fmadd_ps(x, log2e, _mm256_set1_ps(0.5f));
@@ -94,7 +96,10 @@ void sigmoid<Level::kAvx2>(const float* x, float* y, std::size_t n) {
     const __m256 e = avx2::exp256_ps(_mm256_sub_ps(_mm256_setzero_ps(), v));
     _mm256_storeu_ps(y + i, _mm256_div_ps(one, _mm256_add_ps(one, e)));
   }
-  for (; i < n; ++i) y[i] = 1.0f / (1.0f + avx2::exp_scalar_tail(-x[i]));
+  // 0 - x, as the vector lanes compute it: -x would flip a NaN's sign.
+  for (; i < n; ++i) {
+    y[i] = 1.0f / (1.0f + avx2::exp_scalar_tail(0.0f - x[i]));
+  }
 }
 
 template <>
@@ -109,7 +114,7 @@ void swish<Level::kAvx2>(const float* x, float* sig, float* y, std::size_t n) {
     _mm256_storeu_ps(y + i, _mm256_mul_ps(v, s));
   }
   for (; i < n; ++i) {
-    sig[i] = 1.0f / (1.0f + avx2::exp_scalar_tail(-x[i]));
+    sig[i] = 1.0f / (1.0f + avx2::exp_scalar_tail(0.0f - x[i]));
     y[i] = x[i] * sig[i];
   }
 }

@@ -38,8 +38,8 @@ __mmask16 head_mask(std::int64_t n) {
 
 // ---------------------------------------------------------------------------
 // expf — the same Cephes-style polynomial as exp256_ps in simd_avx2.cc,
-// widened to 512 bits. Same clamp range, same coefficients; agrees with the
-// AVX2 version lane-for-lane.
+// widened to 512 bits. Same clamp range (NaN passing through), same
+// coefficients; agrees with the AVX2 version lane-for-lane.
 // ---------------------------------------------------------------------------
 
 __m512 exp512_ps(__m512 x) {
@@ -56,7 +56,7 @@ __m512 exp512_ps(__m512 x) {
   const __m512 p5 = _mm512_set1_ps(5.0000001201e-1f);
   const __m512 one = _mm512_set1_ps(1.0f);
 
-  x = _mm512_max_ps(_mm512_min_ps(x, hi), lo);
+  x = _mm512_max_ps(lo, _mm512_min_ps(hi, x));
 
   // n = round(x / ln2); x -= n * ln2 (split constant for accuracy).
   __m512 fx = _mm512_fmadd_ps(x, log2e, _mm512_set1_ps(0.5f));

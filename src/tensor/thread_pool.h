@@ -10,6 +10,8 @@
 // machine the pool degenerates to inline execution.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -77,5 +79,35 @@ class ThreadPool {
   std::deque<Task> queue_;
   bool shutdown_ = false;
 };
+
+// Runs fn(u0, u1) over [0, units) on the calling thread and pool's
+// workers. Each claims grains of about 1/kGrainsPerThread of one thread's
+// share until none are left, so a thread the OS runs late (another process
+// on its vCPU) delays one grain instead of a fixed share of the work. Runs
+// inline for one unit or a pool without workers. Which thread runs a grain
+// varies from call to call; fn must give the same result either way.
+//
+// Never call it from inside a parallel_for chunk (a pool worker): the
+// nested fork can wait on workers that are all waiting themselves.
+inline constexpr std::int64_t kGrainsPerThread = 4;
+
+template <typename Fn>
+void parallel_grains(ThreadPool& pool, std::int64_t units, const Fn& fn) {
+  if (units <= 0) return;
+  const std::int64_t threads = pool.worker_count() + 1;
+  if (units == 1 || threads == 1) {
+    fn(0, units);
+    return;
+  }
+  const std::int64_t grain =
+      std::max<std::int64_t>(1, units / (kGrainsPerThread * threads));
+  std::atomic<std::int64_t> next{0};
+  pool.parallel_for(threads, [&](std::int64_t, std::int64_t) {
+    for (std::int64_t u0 = next.fetch_add(grain, std::memory_order_relaxed);
+         u0 < units; u0 = next.fetch_add(grain, std::memory_order_relaxed)) {
+      fn(u0, std::min(units, u0 + grain));
+    }
+  });
+}
 
 }  // namespace podnet::tensor

@@ -27,7 +27,8 @@
 // The source, not the vector width, fixes every rounding, so the AVX2 and
 // AVX-512 instantiations give bitwise equal results:
 // - a fused multiply-add is written as std::fma, and no other product feeds
-//   a sum (except in channel_affine, documented there);
+//   a sum (except in channel_affine and the per-channel training half,
+//   documented there);
 // - a reduction accumulates element j into lane j % kBlock, then folds the
 //   lanes pairwise, 16 -> 8 -> 4 -> 2 -> 1 (the tree _mm512_reduce_add_pd
 //   uses).
@@ -359,6 +360,148 @@ template <simd::Level L>
           [&](std::int64_t j) { return a[i0 + j] + b[i0 + j]; });
 }
 
+// ---- per-channel family, training half (see channel_ops.h) ----
+//
+// A product that feeds a sum here (x*x, dy*x, x*s + t, ...) is written as
+// one, as channel_affine's is: the baseline tier rounds it twice, exactly
+// as the nn:: loops these bodies replace did, and the FMA tiers contract it
+// into one rounding. Both FMA tiers compile the same source to the same
+// contractions, so AVX2 and AVX-512 stay bitwise equal (SimdCrossTierTest).
+
+// Column sums of rows [r0, r1) of [rows, c] for the channel block at j0:
+// s[l] += sum_r a[r, j0 + l] and, when b is set, sab[l] += sum_r
+// a[r, j0 + l] * b[r, j0 + l] (b may be a). s and sab point at the block;
+// each channel sums its rows in row order, starting from s and sab.
+template <simd::Level L>
+[[gnu::noinline]] void column_sums(const float* a, const float* b,
+                                   std::int64_t c, std::int64_t r0,
+                                   std::int64_t r1, std::int64_t j0, float* s,
+                                   float* sab) {
+  const std::int64_t w = c - j0 < kBlock ? c - j0 : kBlock;
+  const float* ab = a + j0;
+  // out[l] = step(out[l], r * c + l) over the rows, in row order. The two
+  // sums run as two passes with one accumulator array each: GCC 12 keeps
+  // one array in registers but spills a pair of them to the stack at AVX2.
+  // The second pass re-reads the block's rows from L1.
+  const auto pass = [&](float* out, const auto& step) {
+    float acc[kBlock] = {};
+    for (std::int64_t l = 0; l < w; ++l) acc[l] = out[l];
+    if (w == kBlock) {
+      for (std::int64_t r = r0; r < r1; ++r) {
+        for (std::int64_t l = 0; l < kBlock; ++l) {
+          acc[l] = step(acc[l], r * c + l);
+        }
+      }
+    } else {
+      for (std::int64_t r = r0; r < r1; ++r) {
+        for (std::int64_t l = 0; l < w; ++l) acc[l] = step(acc[l], r * c + l);
+      }
+    }
+    for (std::int64_t l = 0; l < w; ++l) out[l] = acc[l];
+  };
+  pass(s, [&](float acc, std::int64_t i) { return acc + ab[i]; });
+  if (b != nullptr) {
+    const float* bb = b + j0;
+    pass(sab, [&](float acc, std::int64_t i) { return acc + ab[i] * bb[i]; });
+  }
+}
+
+// BN training normalize + affine for rows [r0, r1): xhat = (x - mean) *
+// istd, y = gamma * xhat + beta, per channel.
+template <simd::Level L>
+[[gnu::noinline]] void bn_normalize(const float* x, const float* mean,
+                                    const float* istd, const float* gamma,
+                                    const float* beta, std::int64_t c,
+                                    std::int64_t r0, std::int64_t r1,
+                                    float* xhat, float* y) {
+  for (std::int64_t r = r0; r < r1; ++r) {
+    const float* xr = x + r * c;
+    float* hr = xhat + r * c;
+    blocked(c, hr,
+            [&](std::int64_t j) { return (xr[j] - mean[j]) * istd[j]; });
+    blocked(c, y + r * c,
+            [&](std::int64_t j) { return gamma[j] * hr[j] + beta[j]; });
+  }
+}
+
+// BN training backward for rows [r0, r1): dx = k * ((dy - a) - xhat *
+// inv_m * b) with per-channel k, a, b (see channel_ops.h).
+template <simd::Level L>
+[[gnu::noinline]] void bn_backward_dx(const float* dy, const float* xhat,
+                                      const float* k, const float* a,
+                                      const float* b, float inv_m,
+                                      std::int64_t c, std::int64_t r0,
+                                      std::int64_t r1, float* dx) {
+  for (std::int64_t r = r0; r < r1; ++r) {
+    const float* gr = dy + r * c;
+    const float* hr = xhat + r * c;
+    blocked(c, dx + r * c, [&](std::int64_t j) {
+      return k[j] * ((gr[j] - a[j]) - hr[j] * inv_m * b[j]);
+    });
+  }
+}
+
+// out[image, j] = sum over p of x[image, p, j] * y[image, p, j] for the
+// (image, channel-block) items [i0, i1), as channel_mean walks them: each
+// channel sums its hw rows in row order into a zero-initialized float.
+template <simd::Level L>
+[[gnu::noinline]] void channel_dot(const float* x, const float* y,
+                                   std::int64_t hw, std::int64_t c,
+                                   std::int64_t i0, std::int64_t i1,
+                                   float* out) {
+  const std::int64_t blocks = (c + kBlock - 1) / kBlock;
+  for (std::int64_t i = i0; i < i1; ++i) {
+    const std::int64_t j0 = (i % blocks) * kBlock;
+    const std::int64_t off = (i / blocks) * hw * c + j0;
+    const float* xb = x + off;
+    const float* yb = y + off;
+    float* ob = out + (i / blocks) * c + j0;
+    float acc[kBlock] = {};
+    if (c - j0 >= kBlock) {
+      for (std::int64_t p = 0; p < hw; ++p) {
+        for (std::int64_t l = 0; l < kBlock; ++l) {
+          acc[l] += xb[p * c + l] * yb[p * c + l];
+        }
+      }
+      for (std::int64_t l = 0; l < kBlock; ++l) ob[l] = acc[l];
+    } else {
+      const std::int64_t w = c - j0;
+      for (std::int64_t p = 0; p < hw; ++p) {
+        for (std::int64_t l = 0; l < w; ++l) {
+          acc[l] += xb[p * c + l] * yb[p * c + l];
+        }
+      }
+      for (std::int64_t l = 0; l < w; ++l) ob[l] = acc[l];
+    }
+  }
+}
+
+// y[r, j] = x[r, j] * s[r / hw, j] + t[r / hw, j] for pixel rows [r0, r1)
+// of [n*hw, c]; with x null, y[r, j] = t[r / hw, j].
+template <simd::Level L>
+[[gnu::noinline]] void channel_scale_shift(const float* x, const float* s,
+                                           const float* t, std::int64_t hw,
+                                           std::int64_t c, std::int64_t r0,
+                                           std::int64_t r1, float* y) {
+  for (std::int64_t r = r0; r < r1;) {
+    const std::int64_t image = r / hw;
+    const std::int64_t end = (image + 1) * hw < r1 ? (image + 1) * hw : r1;
+    const float* ti = t + image * c;
+    if (x == nullptr) {
+      for (; r < end; ++r) {
+        blocked(c, y + r * c, [&](std::int64_t j) { return ti[j]; });
+      }
+    } else {
+      const float* si = s + image * c;
+      for (; r < end; ++r) {
+        const float* xr = x + r * c;
+        blocked(c, y + r * c,
+                [&](std::int64_t j) { return xr[j] * si[j] + ti[j]; });
+      }
+    }
+  }
+}
+
 }  // namespace podnet::tensor::kernels
 
 // Explicit instantiation of the bodies for one level. A SIMD tier's TU
@@ -379,6 +522,20 @@ template <simd::Level L>
                   float*);                                                    \
   kw void add<L>(const float*, const float*, std::int64_t, std::int64_t,     \
                  float*);                                                     \
+  kw void column_sums<L>(const float*, const float*, std::int64_t,           \
+                         std::int64_t, std::int64_t, std::int64_t, float*,    \
+                         float*);                                             \
+  kw void bn_normalize<L>(const float*, const float*, const float*,          \
+                          const float*, const float*, std::int64_t,           \
+                          std::int64_t, std::int64_t, float*, float*);        \
+  kw void bn_backward_dx<L>(const float*, const float*, const float*,        \
+                            const float*, const float*, float, std::int64_t,  \
+                            std::int64_t, std::int64_t, float*);              \
+  kw void channel_dot<L>(const float*, const float*, std::int64_t,           \
+                         std::int64_t, std::int64_t, std::int64_t, float*);   \
+  kw void channel_scale_shift<L>(const float*, const float*, const float*,   \
+                                 std::int64_t, std::int64_t, std::int64_t,    \
+                                 std::int64_t, float*);                       \
   }
 
 #define PODNET_VECTOR_KERNELS(kw, L)                                          \

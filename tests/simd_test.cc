@@ -17,6 +17,7 @@
 #include "nn/depthwise_conv.h"
 #include "nn/grad_check.h"
 #include "tensor/bf16.h"
+#include "tensor/channel_ops.h"
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
@@ -555,6 +556,38 @@ TEST_F(SimdOpsParityTest, SigmoidAndActivationBackwardsWithinUlps) {
   }
 }
 
+TEST_F(SimdOpsParityTest, PolynomialExpLetsNaNThrough) {
+  // sigmoid, swish and softmax_rows run the SIMD tiers' polynomial exp.
+  // A NaN input must come out NaN at every level, in a vector lane (index
+  // 3) and in the vector tail (index 33 of 35), as it does through
+  // std::exp at the scalar tier, so a diverged step reaches the finite
+  // checks. softmax_rows turns a row holding a NaN into all NaN.
+  constexpr std::size_t kLen = 35;
+  std::vector<float> in(x.begin(), x.begin() + kLen);
+  in[3] = std::numeric_limits<float>::quiet_NaN();
+  in[33] = std::numeric_limits<float>::quiet_NaN();
+  for (const simd::Level lvl :
+       {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
+    simd::ScopedLevel scoped(lvl);
+    std::vector<float> sig(kLen), sw(kLen), swsig(kLen);
+    sigmoid(in, sig);
+    swish(in, swsig, sw);
+    std::vector<float> sm = in;
+    softmax_rows(sm.data(), 1, static_cast<std::int64_t>(kLen));
+    for (std::size_t i = 0; i < kLen; ++i) {
+      const bool nan_in = std::isnan(in[i]);
+      EXPECT_EQ(nan_in, std::isnan(sig[i]))
+          << simd::level_name(lvl) << " sigmoid at " << i;
+      EXPECT_EQ(nan_in, std::isnan(swsig[i]))
+          << simd::level_name(lvl) << " swish sig at " << i;
+      EXPECT_EQ(nan_in, std::isnan(sw[i]))
+          << simd::level_name(lvl) << " swish y at " << i;
+      EXPECT_TRUE(std::isnan(sm[i]))
+          << simd::level_name(lvl) << " softmax at " << i;
+    }
+  }
+}
+
 TEST(SimdCrossTierTest, Avx2AndAvx512AreBitwiseEqual) {
   // The vector kernels' source fixes every rounding (FMA placement, 16
   // reduction lanes and their fold), not the vector width, so every ops.h
@@ -648,6 +681,90 @@ TEST(SimdCrossTierTest, Avx2AndAvx512AreBitwiseEqual) {
       EXPECT_EQ(outputs(simd::Level::kAvx2, n, laced),
                 outputs(simd::Level::kAvx512, n, laced))
           << "n=" << n << (laced ? " laced" : " clean");
+    }
+  }
+}
+
+TEST(SimdCrossTierTest, ChannelTrainingKernelsAreBitwiseEqual) {
+  // The training half of channel_ops.h: both FMA tiers compile the same
+  // products-feeding-sums, so they round alike, in one chunk and across
+  // several, split over the pool or not, on clean and laced inputs. Every
+  // NaN compares as one value: where a column sum meets two NaNs (a laced
+  // one and inf + -inf), which one an add returns depends on its operand
+  // order, which the source does not fix.
+  if (simd::detected_level() < simd::Level::kAvx512) {
+    GTEST_SKIP() << "needs an AVX-512 host to compare against AVX2";
+  }
+  auto outputs = [&](simd::Level lvl, Index rows, Index c, bool laced) {
+    simd::ScopedLevel scoped(lvl);
+    const std::size_t n = static_cast<std::size_t>(rows * c);
+    const std::size_t nc = static_cast<std::size_t>(c);
+    Rng rng(static_cast<std::uint64_t>(200 + rows + c));
+    std::vector<float> a(n), b(n), pc(4 * nc);
+    for (auto& v : a) v = rng.normal() * 3.f;
+    for (auto& v : b) v = rng.normal();
+    for (auto& v : pc) v = rng.normal();
+    if (laced) {
+      for (std::size_t i = 0; i < n; i += 7) {
+        a[i] = kSpecial[(i / 7) % std::size(kSpecial)];
+      }
+    }
+    std::vector<float> out;
+    auto append = [&](const std::vector<float>& v) {
+      out.insert(out.end(), v.begin(), v.end());
+    };
+    std::vector<float> sums(3 * nc, 0.f);
+    column_sums(a.data(), nullptr, rows, c, sums.data());
+    column_sums(a.data(), a.data(), rows, c, sums.data() + c,
+                sums.data() + 2 * c);
+    append(sums);
+    std::fill(sums.begin(), sums.end(), 0.f);
+    column_sums(a.data(), b.data(), rows, c, sums.data(), sums.data() + c);
+    append(sums);
+    std::vector<float> t1(n), t2(n);
+    const float* p = pc.data();
+    bn_normalize(a.data(), p, p + c, p + 2 * c, p + 3 * c, rows, c,
+                 t1.data(), t2.data());
+    append(t1);
+    append(t2);
+    bn_backward_dx(b.data(), a.data(), p, p + c, p + 2 * c, 0.01f, rows, c,
+                   t1.data());
+    append(t1);
+    // [rows / 2 images of 2 pixels] for the per-image kernels.
+    const Index images = rows / 2;
+    std::vector<float> dot(static_cast<std::size_t>(images * c));
+    channel_dot(a.data(), b.data(), images, 2, c, dot.data());
+    append(dot);
+    std::vector<float> s(dot.size()), sh(dot.size());
+    for (auto& v : s) v = rng.normal();
+    for (auto& v : sh) v = rng.normal();
+    channel_scale_shift(a.data(), s.data(), sh.data(), images, 2, c,
+                        t1.data());
+    append(t1);
+    std::vector<float> sig(n);
+    parallel_swish(a, sig, t1);
+    append(sig);
+    append(t1);
+    parallel_swish_backward(b, a, sig, t2);
+    append(t2);
+    return out;
+  };
+  auto bits = [](const std::vector<float>& v) {
+    std::vector<std::uint32_t> u(v.size());
+    std::memcpy(u.data(), v.data(), v.size() * sizeof(float));
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (std::isnan(v[i])) u[i] = 0x7fc00000u;
+    }
+    return u;
+  };
+  for (const bool laced : {false, true}) {
+    for (const Index c : {1, 8, 15, 16, 17, 24, 128}) {
+      for (const Index rows :
+           {Index{2}, Index{256}, Index{258}, (Index{1} << 17) / c + 6}) {
+        EXPECT_EQ(bits(outputs(simd::Level::kAvx2, rows, c, laced)),
+                  bits(outputs(simd::Level::kAvx512, rows, c, laced)))
+            << "c=" << c << " rows=" << rows << (laced ? " laced" : " clean");
+      }
     }
   }
 }
